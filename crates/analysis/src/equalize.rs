@@ -92,12 +92,13 @@ pub fn equalize(netlist: &mut Netlist) -> Result<EqualizeReport, NetlistError> {
     }
 }
 
-/// *Void debt* at each node's output: the maximum number of full relay
-/// stations on any source path to it. Shells are neutral (they add a
+/// *Void debt* at each node's output: the maximum number of relay
+/// stages on any source path to it. Shells are neutral (they add a
 /// pipeline stage **and** an initial valid token), half stations are
-/// neutral (no stage, no token); only full stations (a stage with no
-/// token) unbalance converging paths. The paper's "path length" for
-/// equalization is exactly this relay-station count.
+/// neutral (no stage, no token); full and FIFO stations (a stage with
+/// no token, [`RelayKind::forward_latency`] 1) unbalance converging
+/// paths. The paper's "path length" for equalization is exactly this
+/// stage count — the same one the throughput model uses.
 fn relay_debt(netlist: &Netlist) -> Vec<u64> {
     let n = netlist.node_count();
     let ids: Vec<NodeId> = netlist.nodes().map(|(id, _)| id).collect();
@@ -109,12 +110,10 @@ fn relay_debt(netlist: &Netlist) -> Vec<u64> {
     let mut queue: VecDeque<usize> = (0..n).filter(|&i| indegree[i] == 0).collect();
     while let Some(i) = queue.pop_front() {
         let id = ids[i];
-        let own = u64::from(matches!(
-            netlist.node(id).kind(),
-            lip_graph::NodeKind::Relay {
-                kind: RelayKind::Full
-            }
-        ));
+        let own = match netlist.node(id).kind() {
+            lip_graph::NodeKind::Relay { kind } => kind.forward_latency(),
+            _ => 0,
+        };
         let out = debt[i] + own;
         debt[i] = out;
         for s in netlist.successors(id) {

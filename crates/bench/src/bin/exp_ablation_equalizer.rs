@@ -70,9 +70,9 @@ fn main() {
 
     let mut report = Report::new("exp_ablation_equalizer");
     report
-        .push_int("configurations", rows.len() as u64)
-        .push_bool("full_spare_reaches_unit", full_reaches_unit)
-        .push_f64("best_half_spare_throughput", best_half)
-        .push_bool("ok", full_reaches_unit && best_half < 1.0);
+        .push("configurations", rows.len() as u64)
+        .push("full_spare_reaches_unit", full_reaches_unit)
+        .push("best_half_spare_throughput", best_half)
+        .push("ok", full_reaches_unit && best_half < 1.0);
     emit_report(&report);
 }

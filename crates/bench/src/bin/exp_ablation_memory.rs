@@ -97,8 +97,8 @@ fn main() {
 
     let mut report = Report::new("exp_ablation_memory");
     report
-        .push_bool("chains_identical", all_identical)
-        .push_int("relay_free_loops_at_unit_throughput", loops_at_unit)
-        .push_bool("ok", all_identical && loops_at_unit == 5);
+        .push("chains_identical", all_identical)
+        .push("relay_free_loops_at_unit_throughput", loops_at_unit)
+        .push("ok", all_identical && loops_at_unit == 5);
     emit_report(&report);
 }

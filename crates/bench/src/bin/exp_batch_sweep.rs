@@ -20,7 +20,7 @@ use std::time::Instant;
 use lip_bench::{banner, emit_report, mark, report_dir, table, Report};
 use lip_core::Pattern;
 use lip_graph::{generate, Netlist, NodeId};
-use lip_obs::{ProgressSink, ProgressSnapshot, PromFileProgress};
+use lip_obs::{Json, ProgressSink, ProgressSnapshot, PromFileProgress};
 use lip_sim::{
     dispatch_lane_width, measure_batch_wide, BatchMeasurement, LanePatterns, LaneWidthVisitor,
     LaneWord, SettleProgram, SkeletonSystem, LANES, LANE_WIDTHS,
@@ -283,76 +283,65 @@ fn main() {
             .fold(f64::INFINITY, f64::min)
     };
 
-    let mut json = String::new();
-    json.push_str("{\n");
-    json.push_str(&format!(
-        "  \"schema_version\": {},\n",
-        lip_obs::SCHEMA_VERSION
-    ));
-    json.push_str("  \"experiment\": \"exp_batch_sweep\",\n");
-    json.push_str(&format!("  \"lanes\": {LANES},\n"));
-    json.push_str(&format!("  \"cycles\": {CYCLES},\n"));
-    json.push_str(&format!("  \"claimed_speedup\": {CLAIMED_SPEEDUP},\n"));
-    json.push_str(&format!("  \"wide_speedup\": {WIDE_SPEEDUP},\n"));
-    json.push_str("  \"lane_widths\": [\n");
-    for (i, lanes) in LANE_WIDTHS.iter().enumerate() {
-        let comma = if i + 1 < LANE_WIDTHS.len() { "," } else { "" };
-        let claimed = if *lanes == LANES {
+    let lane_widths = LANE_WIDTHS.iter().map(|&lanes| {
+        let claimed = if lanes == LANES {
             CLAIMED_SPEEDUP
-        } else if *lanes == widest {
+        } else if lanes == widest {
             WIDE_SPEEDUP
         } else {
             0.0
         };
-        json.push_str(&format!(
-            "    {{\"lanes\": {lanes}, \"words\": {}, \"min_speedup\": {:.2}, \
-             \"claimed_speedup\": {claimed}, \"ok\": {}}}{comma}\n",
-            lanes / 64,
-            min_at(*lanes),
-            min_at(*lanes) >= claimed
-        ));
-    }
-    json.push_str("  ],\n");
-    json.push_str("  \"topologies\": [\n");
-    for (i, r) in rows.iter().enumerate() {
-        let comma = if i + 1 < rows.len() { "," } else { "" };
-        let widths: Vec<String> = r
-            .widths
-            .iter()
-            .map(|w| {
-                format!(
-                    "{{\"lanes\": {}, \"batch_lane_cycles_per_sec\": {:.1}, \"speedup\": {:.2}}}",
-                    w.lanes, w.rate, w.speedup
-                )
-            })
-            .collect();
-        json.push_str(&format!(
-            "    {{\"name\": \"{}\", \"shells\": {}, \"scalar_lane_cycles_per_sec\": {:.1}, \
-             \"batch_lane_cycles_per_sec\": {:.1}, \"speedup\": {:.2}, \"widths\": [{}]}}{comma}\n",
-            r.name,
-            r.shells,
-            r.scalar_rate,
-            r.widths[0].rate,
-            r.widths[0].speedup,
-            widths.join(", ")
-        ));
-    }
-    json.push_str("  ]\n}\n");
-    std::fs::write("BENCH_skeleton.json", json).expect("write BENCH_skeleton.json");
+        Json::obj([
+            ("lanes", lanes.into()),
+            ("words", (lanes / 64).into()),
+            ("min_speedup", Json::fixed(min_at(lanes), 2)),
+            ("claimed_speedup", claimed.into()),
+            ("ok", (min_at(lanes) >= claimed).into()),
+        ])
+    });
+    let topologies = rows.iter().map(|r| {
+        let widths = r.widths.iter().map(|w| {
+            Json::obj([
+                ("lanes", w.lanes.into()),
+                ("batch_lane_cycles_per_sec", Json::fixed(w.rate, 1)),
+                ("speedup", Json::fixed(w.speedup, 2)),
+            ])
+        });
+        Json::obj([
+            ("name", r.name.as_str().into()),
+            ("shells", r.shells.into()),
+            ("scalar_lane_cycles_per_sec", Json::fixed(r.scalar_rate, 1)),
+            (
+                "batch_lane_cycles_per_sec",
+                Json::fixed(r.widths[0].rate, 1),
+            ),
+            ("speedup", Json::fixed(r.widths[0].speedup, 2)),
+            ("widths", Json::Arr(widths.collect())),
+        ])
+    });
+    let mut bench = Report::new("exp_batch_sweep");
+    bench
+        .push("lanes", LANES as u64)
+        .push("cycles", CYCLES)
+        .push("claimed_speedup", CLAIMED_SPEEDUP)
+        .push("wide_speedup", WIDE_SPEEDUP)
+        .push("lane_widths", Json::Arr(lane_widths.collect()))
+        .push("topologies", Json::Arr(topologies.collect()));
+    std::fs::write("BENCH_skeleton.json", bench.to_json()).expect("write BENCH_skeleton.json");
     println!("wrote BENCH_skeleton.json");
 
     let ok = min_at(LANES) >= CLAIMED_SPEEDUP && min_at(widest) >= WIDE_SPEEDUP;
     let mut report = Report::new("exp_batch_sweep");
     report
-        .push_int("lanes", LANES as u64)
-        .push_int("widest_lanes", widest as u64)
-        .push_int("cycles", CYCLES)
-        .push_f64("claimed_speedup", CLAIMED_SPEEDUP)
-        .push_f64("wide_speedup", WIDE_SPEEDUP)
-        .push_f64("min_speedup", min_at(LANES))
-        .push_f64("widest_min_speedup", min_at(widest))
-        .push_int("topologies", rows.len() as u64)
-        .push_bool("ok", ok);
+        .push("lanes", LANES as u64)
+        .push("widest_lanes", widest as u64)
+        .push("cycles", CYCLES)
+        .push("claimed_speedup", CLAIMED_SPEEDUP)
+        .push("wide_speedup", WIDE_SPEEDUP)
+        .push("min_speedup", min_at(LANES))
+        .push("widest_min_speedup", min_at(widest))
+        .push("topologies", rows.len() as u64)
+        .push("ok", ok);
     emit_report(&report);
 
     if min_at(LANES) < CLAIMED_SPEEDUP {

@@ -77,8 +77,8 @@ fn main() {
     let systems = rows.len() as u64;
     let mut report = Report::new("exp_clock_gating");
     report
-        .push_int("systems", systems)
-        .push_int("uniform_systems", uniform_systems)
-        .push_bool("ok", uniform_systems == systems);
+        .push("systems", systems)
+        .push("uniform_systems", uniform_systems)
+        .push("ok", uniform_systems == systems);
     emit_report(&report);
 }

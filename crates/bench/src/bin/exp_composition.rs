@@ -141,10 +141,10 @@ fn main() {
 
     let mut report = Report::new("exp_composition");
     report
-        .push_int("decoupled_compositions", decoupled)
-        .push_int("coupled_compositions", rows.len() as u64)
-        .push_int("model_mismatches", model_mismatches)
-        .push_int("min_bound_mismatches", min_mismatches)
-        .push_bool("ok", model_mismatches == 0 && min_mismatches == 0);
+        .push("decoupled_compositions", decoupled)
+        .push("coupled_compositions", rows.len() as u64)
+        .push("model_mismatches", model_mismatches)
+        .push("min_bound_mismatches", min_mismatches)
+        .push("ok", model_mismatches == 0 && min_mismatches == 0);
     emit_report(&report);
 }

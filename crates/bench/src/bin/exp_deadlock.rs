@@ -198,13 +198,13 @@ fn main() {
     let explored = rows.len() as u64;
     let mut report = Report::new("exp_deadlock");
     report
-        .push_int("theorem_cases", cases.len() as u64)
-        .push_bool("theorems_consistent", theorems_consistent)
-        .push_int("cures_attempted", cure_count)
-        .push_int("cures_live", cured)
-        .push_int("systems_explored", explored)
-        .push_int("systems_deadlock_free", deadlock_free)
-        .push_bool(
+        .push("theorem_cases", cases.len() as u64)
+        .push("theorems_consistent", theorems_consistent)
+        .push("cures_attempted", cure_count)
+        .push("cures_live", cured)
+        .push("systems_explored", explored)
+        .push("systems_deadlock_free", deadlock_free)
+        .push(
             "ok",
             theorems_consistent && cured == cure_count && deadlock_free == explored,
         );

@@ -61,38 +61,32 @@ impl Snapshot {
     }
 }
 
-fn ratio_json(r: Ratio) -> String {
-    format!("{{\"num\": {}, \"den\": {}}}", r.num(), r.den())
+fn ratio_json(r: Ratio) -> Json {
+    Json::ratio(r.num(), r.den())
 }
 
 fn kernel_json(kc: &KernelCounters) -> String {
-    let by_op: Vec<String> = kc
-        .by_op
-        .iter()
-        .map(|r| {
-            format!(
-                "{{\"name\": \"{}\", \"ops_retired\": {}}}",
-                r.name, r.ops_retired
-            )
-        })
-        .collect();
-    let by_stratum: Vec<String> = kc
+    let by_op = kc.by_op.iter().map(|r| {
+        Json::obj([
+            ("name", r.name.into()),
+            ("ops_retired", r.ops_retired.into()),
+        ])
+    });
+    let by_stratum = kc
         .by_stratum
         .iter()
-        .map(|&(name, n)| format!("{{\"name\": \"{name}\", \"ops_retired\": {n}}}"))
-        .collect();
-    format!(
-        "{{\"schema_version\": {}, \"kind\": \"kernel_counters\", \"lanes\": {}, \
-         \"settles\": {}, \"ops_total\": {}, \"reconciled\": {}, \
-         \"by_opcode\": [{}], \"by_stratum\": [{}]}}\n",
-        lip_obs::schema::REPORT,
-        kc.lanes,
-        kc.settles,
-        kc.total_ops(),
-        kc.reconciles(),
-        by_op.join(", "),
-        by_stratum.join(", ")
-    )
+        .map(|&(name, n)| Json::obj([("name", name.into()), ("ops_retired", n.into())]));
+    Json::obj([
+        ("schema_version", lip_obs::schema::REPORT.into()),
+        ("kind", "kernel_counters".into()),
+        ("lanes", kc.lanes.into()),
+        ("settles", kc.settles.into()),
+        ("ops_total", kc.total_ops().into()),
+        ("reconciled", kc.reconciles().into()),
+        ("by_opcode", Json::Arr(by_op.collect())),
+        ("by_stratum", Json::Arr(by_stratum.collect())),
+    ])
+    .to_pretty()
 }
 
 /// Profile, prove and count one design — everything a sweep would
@@ -121,16 +115,20 @@ fn snapshot(netlist: &Netlist) -> Snapshot {
     let kc = kc.expect("enabled recorder yields counters");
     assert!(kc.reconciles(), "kernel counters reconcile");
     let agree = measured == proved;
-    let check_json = format!(
-        "{{\"schema_version\": {}, \"kind\": \"throughput_check\", \"topology\": \"fig1\", \
-         \"structural_hash\": \"{:016x}\", \"measured\": {}, \"proved\": {}, \
-         \"live\": true, \"agree\": {}}}\n",
-        lip_obs::schema::REPORT,
-        prog.stable_structural_hash(),
-        ratio_json(measured),
-        ratio_json(proved),
-        agree
-    );
+    let check_json = Json::obj([
+        ("schema_version", lip_obs::schema::REPORT.into()),
+        ("kind", "throughput_check".into()),
+        ("topology", "fig1".into()),
+        (
+            "structural_hash",
+            format!("{:016x}", prog.stable_structural_hash()).into(),
+        ),
+        ("measured", ratio_json(measured)),
+        ("proved", ratio_json(proved)),
+        ("live", true.into()),
+        ("agree", agree.into()),
+    ])
+    .to_pretty();
     assert!(agree, "measured {measured:?} must equal proved {proved:?}");
     Snapshot {
         blame_json: run.report.to_json(),
@@ -166,10 +164,12 @@ fn commit_run(
             })
             .fold(f64::INFINITY, f64::min)
     });
-    let timing_json = format!(
-        "{{\"schema_version\": {}, \"kind\": \"timing\", \"sweep_ns\": {timing_ns}}}\n",
-        lip_obs::schema::REPORT
-    );
+    let timing_json = Json::obj([
+        ("schema_version", lip_obs::schema::REPORT.into()),
+        ("kind", "timing".into()),
+        ("sweep_ns", timing_ns.into()),
+    ])
+    .to_pretty();
     let mut b = RunBuilder::new(label);
     b.add_artifact("BLAME_fig1.json", &snap.blame_json);
     b.add_artifact("CHECK_fig1.json", &snap.check_json);
@@ -349,46 +349,31 @@ fn main() {
     );
 
     // BENCH_delta.json — jq-gated in CI.
-    let bench = Json::Obj(vec![
-        (
-            "schema_version".into(),
-            Json::Int(i64::from(lip_obs::schema::DELTA)),
-        ),
-        ("experiment".into(), Json::Str("exp_delta".into())),
-        ("store".into(), Json::Str(STORE_ROOT.into())),
-        ("runs_stored".into(), Json::Int(runs_stored as i64)),
-        ("rerun_clean".into(), Json::Bool(rerun_clean)),
-        ("regression_flagged".into(), Json::Bool(regression_flagged)),
-        (
-            "regression_exact_diffs".into(),
-            Json::Int(reg_diff.exact_diffs() as i64),
-        ),
-        (
-            "ratio_before".into(),
-            lip_delta::parse(&ratio_json(base_snap.measured)).expect("ratio json"),
-        ),
-        (
-            "ratio_after".into(),
-            lip_delta::parse(&ratio_json(reg_snap.measured)).expect("ratio json"),
-        ),
-        ("attributed_channel".into(), Json::Str(attributed.clone())),
-        ("attribution_expected".into(), Json::Str(short_name.clone())),
-        ("attribution_ok".into(), Json::Bool(attribution_ok)),
-        ("mc_agrees".into(), Json::Bool(mc_agrees)),
-        (
-            "timing_regression_flagged".into(),
-            Json::Bool(timing_flagged),
-        ),
-        ("ok".into(), Json::Bool(ok)),
+    let bench = Json::obj([
+        ("schema_version", lip_obs::schema::DELTA.into()),
+        ("experiment", "exp_delta".into()),
+        ("store", STORE_ROOT.into()),
+        ("runs_stored", runs_stored.into()),
+        ("rerun_clean", rerun_clean.into()),
+        ("regression_flagged", regression_flagged.into()),
+        ("regression_exact_diffs", reg_diff.exact_diffs().into()),
+        ("ratio_before", ratio_json(base_snap.measured)),
+        ("ratio_after", ratio_json(reg_snap.measured)),
+        ("attributed_channel", attributed.as_str().into()),
+        ("attribution_expected", short_name.as_str().into()),
+        ("attribution_ok", attribution_ok.into()),
+        ("mc_agrees", mc_agrees.into()),
+        ("timing_regression_flagged", timing_flagged.into()),
+        ("ok", ok.into()),
     ]);
-    std::fs::write("BENCH_delta.json", bench.to_compact() + "\n").expect("write BENCH_delta.json");
+    std::fs::write("BENCH_delta.json", bench.to_pretty()).expect("write BENCH_delta.json");
     println!("wrote BENCH_delta.json");
 
     let mut report = Report::new("exp_delta");
     report
-        .push_int("runs_stored", runs_stored)
-        .push_bool("rerun_clean", rerun_clean)
-        .push_bool("regression_flagged", regression_flagged)
+        .push("runs_stored", runs_stored)
+        .push("rerun_clean", rerun_clean)
+        .push("regression_flagged", regression_flagged)
         .push_ratio(
             "throughput_before",
             base_snap.measured.num(),
@@ -399,12 +384,12 @@ fn main() {
             reg_snap.measured.num(),
             reg_snap.measured.den(),
         )
-        .push_str("attributed_channel", &attributed)
-        .push_str("top_blamed_after", reg_snap.top_blamed())
-        .push_bool("attribution_ok", attribution_ok)
-        .push_bool("mc_agrees", mc_agrees)
-        .push_bool("timing_regression_flagged", timing_flagged)
-        .push_bool("ok", ok);
+        .push("attributed_channel", attributed.as_str())
+        .push("top_blamed_after", reg_snap.top_blamed())
+        .push("attribution_ok", attribution_ok)
+        .push("mc_agrees", mc_agrees)
+        .push("timing_regression_flagged", timing_flagged)
+        .push("ok", ok);
     emit_report(&report);
     assert!(ok, "EXP-D1 end-to-end checks failed");
 }

@@ -57,9 +57,9 @@ fn main() {
     println!("every unbalanced system reaches T = 1 after equalization");
 
     let mut json = Report::new("exp_equalization");
-    json.push_int("systems", rows.len() as u64)
-        .push_int("restored_to_unit_throughput", restored)
-        .push_int("spares_inserted_total", inserted_total)
-        .push_bool("ok", restored == rows.len() as u64);
+    json.push("systems", rows.len() as u64)
+        .push("restored_to_unit_throughput", restored)
+        .push("spares_inserted_total", inserted_total)
+        .push("ok", restored == rows.len() as u64);
     emit_report(&json);
 }

@@ -73,8 +73,8 @@ fn main() {
 
     let mut report = Report::new("exp_feedback");
     report
-        .push_int("rings_checked", rows.len() as u64)
-        .push_int("mismatches", mismatches)
-        .push_bool("ok", mismatches == 0);
+        .push("rings_checked", rows.len() as u64)
+        .push("mismatches", mismatches)
+        .push("ok", mismatches == 0);
     emit_report(&report);
 }

@@ -29,6 +29,7 @@ use lip_analysis::size_each_relay;
 use lip_bench::{banner, emit_report, mark, table, Report};
 use lip_core::RelayKind;
 use lip_graph::{generate, Netlist, NodeId, NodeKind};
+use lip_obs::Json;
 use lip_sim::{NetlistDelta, Ratio, SettleProgram, ThroughputCache};
 
 const REPS: usize = 7;
@@ -330,57 +331,47 @@ fn main() {
 
     let ok = min_speedup >= CLAIMED_SPEEDUP && equivalent && sizing.speedup > 1.0 && sizing.agree;
 
-    let mut json = String::new();
-    json.push_str("{\n");
-    json.push_str(&format!(
-        "  \"schema_version\": {},\n",
-        lip_obs::SCHEMA_VERSION
-    ));
-    json.push_str("  \"experiment\": \"exp_incremental\",\n");
-    json.push_str(&format!("  \"claimed_speedup\": {CLAIMED_SPEEDUP},\n"));
-    json.push_str(&format!("  \"min_patch_speedup\": {min_speedup:.2},\n"));
-    json.push_str(&format!("  \"equivalent\": {equivalent},\n"));
-    json.push_str(&format!("  \"edits_checked\": {edits_checked},\n"));
-    json.push_str("  \"topologies\": [\n");
-    for (i, r) in rows.iter().enumerate() {
-        let comma = if i + 1 < rows.len() { "," } else { "" };
-        json.push_str(&format!(
-            "    {{\"name\": \"{}\", \"full_us_per_edit\": {:.3}, \"patch_us_per_edit\": {:.4}, \
-             \"speedup\": {:.2}, \"ok\": {}}}{comma}\n",
-            r.name,
-            r.full_us,
-            r.patch_us,
-            r.speedup,
-            r.speedup >= CLAIMED_SPEEDUP
-        ));
-    }
-    json.push_str("  ],\n");
-    json.push_str(&format!(
-        "  \"sizing\": {{\"baseline_sec\": {:.6}, \"patched_sec\": {:.6}, \
-         \"speedup\": {:.3}, \"agree\": {}, \"ok\": {}}},\n",
-        sizing.baseline_sec,
-        sizing.patched_sec,
-        sizing.speedup,
-        sizing.agree,
-        sizing.speedup > 1.0 && sizing.agree
-    ));
-    json.push_str(&format!("  \"ok\": {ok}\n"));
-    json.push_str("}\n");
-    std::fs::write("BENCH_incremental.json", json).expect("write BENCH_incremental.json");
+    let topologies = rows.iter().map(|r| {
+        Json::obj([
+            ("name", r.name.as_str().into()),
+            ("full_us_per_edit", Json::fixed(r.full_us, 3)),
+            ("patch_us_per_edit", Json::fixed(r.patch_us, 4)),
+            ("speedup", Json::fixed(r.speedup, 2)),
+            ("ok", (r.speedup >= CLAIMED_SPEEDUP).into()),
+        ])
+    });
+    let sizing_json = Json::obj([
+        ("baseline_sec", Json::fixed(sizing.baseline_sec, 6)),
+        ("patched_sec", Json::fixed(sizing.patched_sec, 6)),
+        ("speedup", Json::fixed(sizing.speedup, 3)),
+        ("agree", sizing.agree.into()),
+        ("ok", (sizing.speedup > 1.0 && sizing.agree).into()),
+    ]);
+    let mut bench = Report::new("exp_incremental");
+    bench
+        .push("claimed_speedup", CLAIMED_SPEEDUP)
+        .push("min_patch_speedup", Json::fixed(min_speedup, 2))
+        .push("equivalent", equivalent)
+        .push("edits_checked", edits_checked)
+        .push("topologies", Json::Arr(topologies.collect()))
+        .push("sizing", sizing_json)
+        .push("ok", ok);
+    std::fs::write("BENCH_incremental.json", bench.to_json())
+        .expect("write BENCH_incremental.json");
     println!("wrote BENCH_incremental.json");
 
     let mut report = Report::new("exp_incremental");
     report
-        .push_f64("claimed_speedup", CLAIMED_SPEEDUP)
-        .push_f64("min_patch_speedup", min_speedup)
-        .push_bool("equivalent", equivalent)
-        .push_int("edits_checked", edits_checked)
-        .push_f64("sizing_baseline_sec", sizing.baseline_sec)
-        .push_f64("sizing_patched_sec", sizing.patched_sec)
-        .push_f64("sizing_speedup", sizing.speedup)
-        .push_bool("sizing_agree", sizing.agree)
-        .push_int("topologies", rows.len() as u64)
-        .push_bool("ok", ok);
+        .push("claimed_speedup", CLAIMED_SPEEDUP)
+        .push("min_patch_speedup", min_speedup)
+        .push("equivalent", equivalent)
+        .push("edits_checked", edits_checked)
+        .push("sizing_baseline_sec", sizing.baseline_sec)
+        .push("sizing_patched_sec", sizing.patched_sec)
+        .push("sizing_speedup", sizing.speedup)
+        .push("sizing_agree", sizing.agree)
+        .push("topologies", rows.len() as u64)
+        .push("ok", ok);
     emit_report(&report);
 
     assert!(

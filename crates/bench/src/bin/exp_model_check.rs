@@ -18,6 +18,7 @@ use lip_bench::{banner, emit_report, mark, table, Report};
 use lip_core::RelayKind;
 use lip_graph::{generate, Netlist};
 use lip_mc::{check_adversarial, check_declared, confirm_stuck, McConfig, McError, Verdict};
+use lip_obs::Json;
 use lip_sim::measure::check_liveness;
 use lip_sim::{measure_batch_periodic, LanePatterns, Ratio, SettleProgram};
 use lip_verify::explore_system;
@@ -359,59 +360,36 @@ fn main() {
 
     // BENCH_check.json — jq-gated in CI (agreement matrix must be all
     // true; gate_skipped surfaces state-budget truncation).
-    let gate_skipped = if tally.skipped_cap > 0 {
-        "\"state_space_cap\"".to_owned()
-    } else {
-        "null".to_owned()
-    };
-    let mut json = String::new();
-    json.push_str("{\n");
-    json.push_str(&format!(
-        "  \"schema_version\": {},\n",
-        lip_obs::SCHEMA_VERSION
-    ));
-    json.push_str(&format!("  \"systems_proved\": {},\n", tally.checked));
-    json.push_str(&format!("  \"random_seeds\": {seeds},\n"));
-    json.push_str(&format!(
-        "  \"skipped_aperiodic\": {},\n",
-        tally.skipped_aperiodic
-    ));
-    json.push_str(&format!(
-        "  \"skipped_state_cap\": {},\n",
-        tally.skipped_cap
-    ));
-    json.push_str(&format!("  \"gate_skipped\": {gate_skipped},\n"));
-    json.push_str(&format!(
-        "  \"states_total\": {},\n",
-        tally.states_total + adv_states
-    ));
-    json.push_str(&format!("  \"states_per_sec\": {states_per_sec:.1},\n"));
-    json.push_str(&format!(
-        "  \"peak_arena_bytes\": {},\n",
-        tally.peak_arena_bytes
-    ));
-    json.push_str(&format!("  \"deadlocks_proved\": {},\n", tally.cex_total));
-    json.push_str("  \"agreement\": {\n");
-    for (i, (key, ok)) in agreement.iter().enumerate() {
-        json.push_str(&format!(
-            "    \"{key}\": {ok}{}\n",
-            if i + 1 < agreement.len() { "," } else { "" }
-        ));
-    }
-    json.push_str("  },\n");
-    json.push_str(&format!("  \"ok\": {all_agree}\n"));
-    json.push_str("}\n");
+    let gate_skipped = (tally.skipped_cap > 0).then_some("state_space_cap");
+    let json = Json::obj([
+        ("schema_version", lip_obs::SCHEMA_VERSION.into()),
+        ("systems_proved", tally.checked.into()),
+        ("random_seeds", seeds.into()),
+        ("skipped_aperiodic", tally.skipped_aperiodic.into()),
+        ("skipped_state_cap", tally.skipped_cap.into()),
+        ("gate_skipped", gate_skipped.into()),
+        ("states_total", (tally.states_total + adv_states).into()),
+        ("states_per_sec", Json::fixed(states_per_sec, 1)),
+        ("peak_arena_bytes", tally.peak_arena_bytes.into()),
+        ("deadlocks_proved", tally.cex_total.into()),
+        (
+            "agreement",
+            Json::obj(agreement.iter().map(|&(key, ok)| (key, ok.into()))),
+        ),
+        ("ok", all_agree.into()),
+    ])
+    .to_pretty();
     std::fs::write("BENCH_check.json", json).expect("write BENCH_check.json");
     println!("wrote BENCH_check.json");
 
     let mut report = Report::new("exp_model_check");
     report
-        .push_int("systems_proved", tally.checked)
-        .push_int("states_total", tally.states_total + adv_states)
-        .push_int("deadlocks_proved", tally.cex_total)
-        .push_int("counterexamples_replayed", tally.cex_replayed)
-        .push_int("skipped_state_cap", tally.skipped_cap)
-        .push_bool("agreement_all", all_agree)
-        .push_bool("ok", all_agree);
+        .push("systems_proved", tally.checked)
+        .push("states_total", tally.states_total + adv_states)
+        .push("deadlocks_proved", tally.cex_total)
+        .push("counterexamples_replayed", tally.cex_replayed)
+        .push("skipped_state_cap", tally.skipped_cap)
+        .push("agreement_all", all_agree)
+        .push("ok", all_agree);
     emit_report(&report);
 }

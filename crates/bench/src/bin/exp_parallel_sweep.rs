@@ -25,7 +25,7 @@ use std::time::Instant;
 use lip_bench::{banner, emit_report, mark, report_dir, table, Report};
 use lip_core::RelayKind;
 use lip_graph::{generate, Netlist};
-use lip_obs::{ProgressSink, ProgressSnapshot, PromFileProgress};
+use lip_obs::{Json, ProgressSink, ProgressSnapshot, PromFileProgress};
 use lip_sim::{measure, measure_batch_periodic, LanePatterns, Ratio, SettleProgram, LANES};
 
 const REPS: usize = 3;
@@ -255,38 +255,30 @@ fn main() {
     // ------------------------------------------------------------------
     // Persist + gate.
     // ------------------------------------------------------------------
-    let mut json = String::new();
-    json.push_str("{\n");
-    json.push_str(&format!(
-        "  \"schema_version\": {},\n",
-        lip_obs::SCHEMA_VERSION
-    ));
-    json.push_str("  \"experiment\": \"exp_parallel_sweep\",\n");
-    json.push_str(&format!("  \"threads\": {threads},\n"));
-    json.push_str(&format!("  \"cores\": {cores},\n"));
-    json.push_str(&format!("  \"corpus_size\": {},\n", items.len()));
-    json.push_str(&format!("  \"wall_time_serial_sec\": {t_serial:.6},\n"));
-    json.push_str(&format!("  \"wall_time_parallel_sec\": {t_parallel:.6},\n"));
-    json.push_str(&format!("  \"speedup\": {speedup:.3},\n"));
-    json.push_str(&format!("  \"speedup_gated\": {speedup_gated},\n"));
-    json.push_str(&format!(
-        "  \"gate_skipped\": {},\n",
-        gate_skipped.map_or("null".to_string(), |r| format!("\"{r}\""))
-    ));
-    json.push_str(&format!("  \"early_exit_budget\": {total_budget},\n"));
-    json.push_str(&format!("  \"cycles_saved\": {total_saved},\n"));
-    json.push_str(&format!("  \"saved_fraction\": {saved_fraction:.4},\n"));
-    json.push_str("  \"topologies\": [\n");
-    for (i, r) in rows.iter().enumerate() {
-        let comma = if i + 1 < rows.len() { "," } else { "" };
-        json.push_str(&format!(
-            "    {{\"name\": \"{}\", \"throughput\": \"{}\", \"cycles_executed\": {}, \
-             \"cycles_saved\": {}, \"exact\": {}}}{comma}\n",
-            r.name, r.throughput, r.executed, r.saved, r.exact
-        ));
-    }
-    json.push_str("  ]\n}\n");
-    std::fs::write("BENCH_parallel.json", json).expect("write BENCH_parallel.json");
+    let topologies = rows.iter().map(|r| {
+        Json::obj([
+            ("name", r.name.as_str().into()),
+            ("throughput", r.throughput.to_string().into()),
+            ("cycles_executed", r.executed.into()),
+            ("cycles_saved", r.saved.into()),
+            ("exact", r.exact.into()),
+        ])
+    });
+    let mut bench = Report::new("exp_parallel_sweep");
+    bench
+        .push("threads", threads as u64)
+        .push("cores", cores as u64)
+        .push("corpus_size", items.len() as u64)
+        .push("wall_time_serial_sec", Json::fixed(t_serial, 6))
+        .push("wall_time_parallel_sec", Json::fixed(t_parallel, 6))
+        .push("speedup", Json::fixed(speedup, 3))
+        .push("speedup_gated", speedup_gated)
+        .push("gate_skipped", gate_skipped)
+        .push("early_exit_budget", total_budget)
+        .push("cycles_saved", total_saved)
+        .push("saved_fraction", Json::fixed(saved_fraction, 4))
+        .push("topologies", Json::Arr(topologies.collect()));
+    std::fs::write("BENCH_parallel.json", bench.to_json()).expect("write BENCH_parallel.json");
     println!("wrote BENCH_parallel.json");
 
     let ok = all_exact
@@ -295,19 +287,19 @@ fn main() {
         && (!speedup_gated || speedup >= CLAIMED_SPEEDUP);
     let mut report = Report::new("exp_parallel_sweep");
     report
-        .push_int("threads", threads as u64)
-        .push_int("cores", cores as u64)
-        .push_int("corpus_size", items.len() as u64)
-        .push_f64("wall_time_serial_sec", t_serial)
-        .push_f64("wall_time_parallel_sec", t_parallel)
-        .push_f64("speedup", speedup)
-        .push_bool("speedup_gated", speedup_gated)
-        .push_str("gate_skipped", gate_skipped.unwrap_or("none"))
-        .push_int("early_exit_budget", total_budget)
-        .push_int("cycles_saved", total_saved)
-        .push_f64("saved_fraction", saved_fraction)
-        .push_bool("fig1_exact_four_fifths", fig1_exact)
-        .push_bool("ok", ok);
+        .push("threads", threads as u64)
+        .push("cores", cores as u64)
+        .push("corpus_size", items.len() as u64)
+        .push("wall_time_serial_sec", t_serial)
+        .push("wall_time_parallel_sec", t_parallel)
+        .push("speedup", speedup)
+        .push("speedup_gated", speedup_gated)
+        .push("gate_skipped", gate_skipped.unwrap_or("none"))
+        .push("early_exit_budget", total_budget)
+        .push("cycles_saved", total_saved)
+        .push("saved_fraction", saved_fraction)
+        .push("fig1_exact_four_fifths", fig1_exact)
+        .push("ok", ok);
     emit_report(&report);
 
     assert!(fig1_exact, "fig1 must stay exactly 4/5");

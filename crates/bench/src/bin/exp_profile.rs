@@ -86,8 +86,7 @@ fn cross_check(netlist: &Netlist, run: &ProfiledRun) -> Consistency {
         _ => true,
     };
 
-    let begins = run.trace_json.matches("\"ph\":\"b\"").count() as u64;
-    let ends = run.trace_json.matches("\"ph\":\"e\"").count() as u64;
+    let (begins, ends) = run.token_spans();
     let delivered: u64 = run.report.latency.iter().map(|p| p.histogram.total()).sum();
     let trace_spans_ok = begins == ends && begins == delivered;
 
@@ -120,7 +119,7 @@ fn main() {
         && run.report.lost_cycles == run.window / 5
         && run.report.consumed == run.window * 4 / 5;
     let fig1_checks = cross_check(&fig1.netlist, &run);
-    let fig1_spans = run.trace_json.matches("\"ph\":\"b\"").count() as u64;
+    let (fig1_spans, _) = run.token_spans();
     let fig1_ok = fig1_exact
         && fig1_spans >= run.report.consumed
         && fig1_checks.counters_exact
@@ -307,16 +306,16 @@ fn main() {
 
     let mut report = Report::new("exp_profile");
     report
-        .push_int("fig1_window", run.window)
-        .push_int("fig1_short_branch_blame", short_blame)
-        .push_bool("fig1_exact_one_in_five", fig1_exact)
-        .push_bool("ring_relays_exact", ring_ok)
-        .push_int("named_systems", named_total)
-        .push_int("named_consistent", named_ok)
-        .push_int("named_cycle_set_equal", named_cycle_equal)
-        .push_int("random_checked", random_total)
-        .push_int("random_consistent", random_ok)
-        .push_int("random_cycle_set_equal", random_cycle_equal)
-        .push_bool("ok", ok);
+        .push("fig1_window", run.window)
+        .push("fig1_short_branch_blame", short_blame)
+        .push("fig1_exact_one_in_five", fig1_exact)
+        .push("ring_relays_exact", ring_ok)
+        .push("named_systems", named_total)
+        .push("named_consistent", named_ok)
+        .push("named_cycle_set_equal", named_cycle_equal)
+        .push("random_checked", random_total)
+        .push("random_consistent", random_ok)
+        .push("random_cycle_set_equal", random_cycle_equal)
+        .push("ok", ok);
     emit_report(&report);
 }

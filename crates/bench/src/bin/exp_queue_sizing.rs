@@ -128,15 +128,15 @@ fn main() {
 
     let mut report = Report::new("exp_queue_sizing");
     report
-        .push_int("fifo_configurations", fifo_rows)
-        .push_int("loop_configurations", rows.len() as u64)
-        .push_int("fifo_mismatches", fifo_mismatches)
-        .push_int("loop_mismatches", loop_mismatches)
-        .push_int("search_capacity", u64::from(choice.capacity))
-        .push_int("search_simulations", search_simulations)
-        .push_int("cache_hits", cache.hits())
-        .push_int("cache_misses", cache.misses())
-        .push_bool(
+        .push("fifo_configurations", fifo_rows)
+        .push("loop_configurations", rows.len() as u64)
+        .push("fifo_mismatches", fifo_mismatches)
+        .push("loop_mismatches", loop_mismatches)
+        .push("search_capacity", u64::from(choice.capacity))
+        .push("search_simulations", search_simulations)
+        .push("cache_hits", cache.hits())
+        .push("cache_misses", cache.misses())
+        .push(
             "ok",
             fifo_mismatches == 0 && loop_mismatches == 0 && search_ok,
         );

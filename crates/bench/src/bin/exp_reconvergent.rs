@@ -83,8 +83,8 @@ fn main() {
 
     let mut report = Report::new("exp_reconvergent");
     report
-        .push_int("fork_joins_checked", rows.len() as u64)
-        .push_int("mismatches", mismatches)
-        .push_bool("ok", mismatches == 0);
+        .push("fork_joins_checked", rows.len() as u64)
+        .push("mismatches", mismatches)
+        .push("ok", mismatches == 0);
     emit_report(&report);
 }

@@ -194,11 +194,11 @@ fn main() {
         println!("LIP_FLIGHT=0: overhead gate only, enabled-leg artefacts untouched");
         let mut report = Report::new("exp_runtime_obs");
         report
-            .push_str("mode", "disabled_only")
-            .push_f64("wall_time_baseline_sec", t_base)
-            .push_f64("wall_time_disabled_sec", t_off)
-            .push_f64("overhead_pct", overhead_disabled_pct)
-            .push_bool("ok", overhead_disabled_pct < MAX_DISABLED_OVERHEAD_PCT);
+            .push("mode", "disabled_only")
+            .push("wall_time_baseline_sec", t_base)
+            .push("wall_time_disabled_sec", t_off)
+            .push("overhead_pct", overhead_disabled_pct)
+            .push("ok", overhead_disabled_pct < MAX_DISABLED_OVERHEAD_PCT);
         emit_report(&report);
         assert!(
             overhead_disabled_pct < MAX_DISABLED_OVERHEAD_PCT,
@@ -436,20 +436,20 @@ fn main() {
         && merged.reconciles();
     let mut report = Report::new("exp_runtime_obs");
     report
-        .push_str("mode", "full")
-        .push_f64("wall_time_baseline_sec", t_base)
-        .push_f64("wall_time_disabled_sec", t_off)
-        .push_f64("wall_time_enabled_sec", t_on_corpus)
-        .push_f64("wall_time_selfprofile_sec", t_on)
-        .push_f64("overhead_pct", overhead_disabled_pct)
-        .push_f64("overhead_enabled_pct", overhead_enabled_pct)
-        .push_f64("span_coverage", coverage)
-        .push_int("kernel_ops_total", merged.total_ops())
-        .push_int("kernel_settles", merged.settles)
-        .push_f64("kernel_occupancy", merged.occupancy())
-        .push_bool("kernel_reconciled", merged.reconciles())
-        .push_int("topologies", rows.len() as u64)
-        .push_bool("ok", ok);
+        .push("mode", "full")
+        .push("wall_time_baseline_sec", t_base)
+        .push("wall_time_disabled_sec", t_off)
+        .push("wall_time_enabled_sec", t_on_corpus)
+        .push("wall_time_selfprofile_sec", t_on)
+        .push("overhead_pct", overhead_disabled_pct)
+        .push("overhead_enabled_pct", overhead_enabled_pct)
+        .push("span_coverage", coverage)
+        .push("kernel_ops_total", merged.total_ops())
+        .push("kernel_settles", merged.settles)
+        .push("kernel_occupancy", merged.occupancy())
+        .push("kernel_reconciled", merged.reconciles())
+        .push("topologies", rows.len() as u64)
+        .push("ok", ok);
     emit_report(&report);
 
     assert!(

@@ -225,16 +225,16 @@ fn main() {
 
     let mut report = Report::new("exp_static_analysis");
     report
-        .push_int("named_systems", named_total)
-        .push_int("named_exact", named_exact)
-        .push_int("random_checked", random_checked)
-        .push_int("random_exact", random_exact)
-        .push_int("liveness_verdicts", live_total)
-        .push_int("liveness_agree", live_agree)
+        .push("named_systems", named_total)
+        .push("named_exact", named_exact)
+        .push("random_checked", random_checked)
+        .push("random_exact", random_exact)
+        .push("liveness_verdicts", live_total)
+        .push("liveness_agree", live_agree)
         .push_ratio("fig1_before", before_measured.num(), before_measured.den())
         .push_ratio("fig1_after", after_measured.num(), after_measured.den())
-        .push_bool("fixits_clean", after_clean)
-        .push_bool(
+        .push("fixits_clean", after_clean)
+        .push(
             "ok",
             named_exact == named_total
                 && random_exact == random_checked

@@ -81,8 +81,8 @@ fn main() {
     let systems = rows.len() as u64;
     let mut report = Report::new("exp_transient");
     report
-        .push_int("systems", systems)
-        .push_int("within_bound", within_bound)
-        .push_bool("ok", within_bound == systems);
+        .push("systems", systems)
+        .push("within_bound", within_bound)
+        .push("ok", within_bound == systems);
     emit_report(&report);
 }

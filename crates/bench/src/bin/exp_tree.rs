@@ -63,8 +63,8 @@ fn main() {
 
     let mut report = Report::new("exp_tree");
     report
-        .push_int("trees_checked", rows.len() as u64)
-        .push_int("trees_ok", ok_rows)
-        .push_bool("ok", ok_rows == rows.len() as u64);
+        .push("trees_checked", rows.len() as u64)
+        .push("trees_ok", ok_rows)
+        .push("ok", ok_rows == rows.len() as u64);
     emit_report(&report);
 }

@@ -108,9 +108,9 @@ fn main() {
 
     let mut report = Report::new("exp_variant_speedup");
     report
-        .push_int("systems", rows.len() as u64)
-        .push_int("strict_speedups", wins as u64)
-        .push_int("slowdowns", slowdowns)
-        .push_bool("ok", slowdowns == 0);
+        .push("systems", rows.len() as u64)
+        .push("strict_speedups", wins as u64)
+        .push("slowdowns", slowdowns)
+        .push("ok", slowdowns == 0);
     emit_report(&report);
 }

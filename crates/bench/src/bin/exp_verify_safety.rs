@@ -54,8 +54,8 @@ fn main() {
 
     let mut report = Report::new("exp_verify_safety");
     report
-        .push_int("blocks_verified", total)
-        .push_int("as_expected", as_expected)
-        .push_bool("ok", as_expected == total);
+        .push("blocks_verified", total)
+        .push("as_expected", as_expected)
+        .push("ok", as_expected == total);
     emit_report(&report);
 }

@@ -114,17 +114,17 @@ fn main() {
 
     let mut report = Report::new("fig1_feedforward");
     report
-        .push_int("period", p.period)
-        .push_int("transient", p.transient)
+        .push("period", p.period)
+        .push("transient", p.transient)
         .push_ratio("throughput", t.num(), t.den())
-        .push_int("probed_cycles", cycles)
-        .push_int("probed_consumed", consumed)
-        .push_int("probed_voids", voids)
+        .push("probed_cycles", cycles)
+        .push("probed_consumed", consumed)
+        .push("probed_voids", voids)
         .push_ratio("probed_steady_throughput", st_num, st_den)
-        .push_int("probed_transient", settle)
-        .push_int("transient_bound", bound)
-        .push_int("total_fires", metrics.total_fires())
-        .push_bool(
+        .push("probed_transient", settle)
+        .push("transient_bound", bound)
+        .push("total_fires", metrics.total_fires())
+        .push(
             "ok",
             p.period == 5 && t == Ratio::new(4, 5) && st_num * 5 == st_den * 4,
         );

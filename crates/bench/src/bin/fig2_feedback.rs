@@ -72,9 +72,9 @@ fn main() {
 
     let mut report = Report::new("fig2_feedback");
     report
-        .push_int("max_loop_tokens", max_tokens as u64)
-        .push_int("rings_checked", rows.len() as u64)
-        .push_int("formula_mismatches", mismatches)
-        .push_bool("ok", max_tokens <= 2 && mismatches == 0);
+        .push("max_loop_tokens", max_tokens as u64)
+        .push("rings_checked", rows.len() as u64)
+        .push("formula_mismatches", mismatches)
+        .push("ok", max_tokens <= 2 && mismatches == 0);
     emit_report(&report);
 }

@@ -25,21 +25,22 @@
 //!   ad-hoc absolute thresholds that either flap or go stale.
 //!
 //! [`baseline`] extracts the machine-independent exact subset of an
-//! artifact into committed snapshots, re-checked by CI; [`json`] is
-//! the hand-rolled reader matching the workspace's hand-rolled
-//! writers (no serialisation dependency either way). The `lip_diff`
-//! CLI fronts all of it for `run_experiments.sh` and CI.
+//! artifact into committed snapshots, re-checked by CI. Artifacts are
+//! read back through [`json`], the workspace's one JSON codec
+//! (re-exported from `lip-obs`, which writes them): its parser rejects
+//! documents nested deeper than [`json::MAX_DEPTH`] with an error, so
+//! a hostile run-store or baseline file cannot overflow the stack. The
+//! `lip_diff` CLI fronts all of it for `run_experiments.sh` and CI.
 
 #![warn(missing_docs)]
 
 pub mod baseline;
 pub mod diff;
-pub mod json;
 pub mod sentinel;
 pub mod store;
 
 pub use baseline::{baseline_doc, check_one, extract_exact};
 pub use diff::{diff_docs, diff_runs, BlameShift, DiffEntry, Domain, RunDiff};
-pub use json::{parse, Json};
+pub use lip_obs::json::{self, parse, Json};
 pub use sentinel::{direction_of, Direction, Sentinel, Verdict};
 pub use store::{fnv1a, ArtifactRef, Manifest, Run, RunBuilder, RunStore};

@@ -38,6 +38,7 @@
 use std::collections::HashMap;
 use std::error::Error;
 use std::fmt;
+use std::ops::RangeInclusive;
 
 use lip_core::pearl::{
     AccumulatorPearl, ConstPearl, CounterPearl, DelayPearl, IdentityPearl, JoinPearl, Pearl,
@@ -374,32 +375,38 @@ fn parse_pattern(args: &[Tok<'_>], key: &str) -> Result<Pattern, ParseNetlistErr
     }
 }
 
+/// Largest port count or delay depth a pearl argument may ask for: far
+/// above any real design, and it bounds what one line of a hostile file
+/// makes the parser allocate.
+const MAX_PORTS: usize = 4096;
+
 fn parse_pearl(name_span: Span, args: &[Tok<'_>]) -> Result<Box<dyn Pearl>, ParseNetlistError> {
     let kind = *args
         .first()
         .ok_or_else(|| err(name_span, ParseErrorKind::MissingPearl))?;
     let kv = kv(&args[1..]);
-    let get_num = |key: &str, default: usize| -> Result<usize, ParseNetlistError> {
-        match kv.get(key) {
-            None => Ok(default),
-            Some(&(v, span)) => v.parse().map_err(|_| {
-                err(
-                    span,
-                    ParseErrorKind::BadNumber {
-                        key: key.to_owned(),
-                        value: v.to_owned(),
-                    },
-                )
-            }),
-        }
+    // `ok` holds the values the pearl accepts: its constructor asserts
+    // the lower end, and the node allocates per port or stage, so a
+    // zero or huge count is a spanned error, not a panic or abort.
+    let get_num = |key: &str, default: usize, ok: RangeInclusive<usize>| match kv.get(key) {
+        None => Ok(default),
+        Some(&(v, span)) => v.parse().ok().filter(|n| ok.contains(n)).ok_or_else(|| {
+            err(
+                span,
+                ParseErrorKind::BadNumber {
+                    key: key.to_owned(),
+                    value: v.to_owned(),
+                },
+            )
+        }),
     };
     Ok(match kind.text {
         "identity" => {
-            let fanout = get_num("fanout", 1)?;
+            let fanout = get_num("fanout", 1, 1..=MAX_PORTS)?;
             Box::new(IdentityPearl::with_fanout(fanout))
         }
         "join" => {
-            let arity = get_num("arity", 2)?;
+            let arity = get_num("arity", 2, 1..=MAX_PORTS)?;
             match kv.get("op") {
                 None => Box::new(JoinPearl::first(arity)),
                 Some(&(op, span)) => match op {
@@ -412,11 +419,14 @@ fn parse_pearl(name_span: Span, args: &[Tok<'_>]) -> Result<Box<dyn Pearl>, Pars
                 },
             }
         }
-        "router" => Box::new(RouterPearl::new(get_num("in", 1)?, get_num("out", 1)?)),
+        "router" => Box::new(RouterPearl::new(
+            get_num("in", 1, 0..=MAX_PORTS)?,
+            get_num("out", 1, 1..=MAX_PORTS)?,
+        )),
         "accumulator" => Box::new(AccumulatorPearl::new()),
         "counter" => Box::new(CounterPearl::new()),
-        "delay" => Box::new(DelayPearl::new(get_num("k", 1)?)),
-        "const" => Box::new(ConstPearl::new(get_num("value", 0)? as u64)),
+        "delay" => Box::new(DelayPearl::new(get_num("k", 1, 1..=MAX_PORTS)?)),
+        "const" => Box::new(ConstPearl::new(get_num("value", 0, 0..=usize::MAX)? as u64)),
         other => {
             return Err(err(
                 kind.span,
@@ -628,6 +638,27 @@ mod tests {
             assert_eq!(e.span, Span::new(1, 9));
         }
         assert!(parse_netlist("relay q fifo:2\n").is_ok());
+    }
+
+    #[test]
+    fn rejects_zero_and_huge_port_pearls() {
+        // Zero counts would reach a pearl constructor's assert and
+        // panic; huge ones would abort on allocation.
+        for text in [
+            "shell s identity fanout=0\n",
+            "shell s join arity=0\n",
+            "shell s router out=0\n",
+            "shell s delay k=0\n",
+            "shell s identity fanout=100000000000\n",
+            "shell s delay k=4097\n",
+        ] {
+            let e = parse_netlist(text).unwrap_err();
+            assert!(
+                matches!(e.kind, ParseErrorKind::BadNumber { .. }),
+                "{text}: {e}"
+            );
+        }
+        assert!(parse_netlist("shell s router in=0 out=1\n").is_ok());
     }
 
     #[test]

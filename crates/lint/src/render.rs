@@ -1,10 +1,11 @@
 //! Diagnostic renderers: a human-readable text form and a versioned
-//! JSON document (hand-rolled, mirroring `lip_obs`'s report encoder —
-//! the workspace takes no serialisation dependency).
+//! JSON document built with the workspace's one JSON codec
+//! ([`lip_obs::json`]).
 
 use std::fmt::Write as _;
 
 use lip_graph::Span;
+use lip_obs::json::Json;
 
 use crate::diag::{Diagnostic, Severity};
 
@@ -70,146 +71,80 @@ pub fn render_human(file: &str, diags: &[Diagnostic]) -> String {
 }
 
 /// Render diagnostics for one or more files as a single versioned JSON
-/// document:
+/// document, in the `lip_obs` codec's pretty layout:
 ///
 /// ```json
 /// {
 ///   "schema_version": 1,
 ///   "files": [
-///     { "file": "...", "diagnostics": [...],
-///       "counts": { "error": 0, "warning": 1, "info": 0 } }
+///     {
+///       "file": "...",
+///       "diagnostics": [...],
+///       "counts": {"error": 0, "warning": 1, "info": 0}
+///     }
 ///   ]
 /// }
 /// ```
 #[must_use]
 pub fn render_json(files: &[(String, Vec<Diagnostic>)]) -> String {
-    let mut out = String::new();
-    out.push_str("{\n");
-    let _ = writeln!(out, "  \"schema_version\": {LINT_SCHEMA_VERSION},");
-    out.push_str("  \"files\": [");
-    for (fi, (file, diags)) in files.iter().enumerate() {
-        if fi > 0 {
-            out.push(',');
-        }
-        out.push_str("\n    {\n");
-        let _ = writeln!(out, "      \"file\": {},", json_str(file));
-        out.push_str("      \"diagnostics\": [");
-        for (di, d) in diags.iter().enumerate() {
-            if di > 0 {
-                out.push(',');
-            }
-            out.push('\n');
-            out.push_str(&diag_json(d, "        "));
-        }
-        if diags.is_empty() {
-            out.push_str("],\n");
-        } else {
-            out.push_str("\n      ],\n");
-        }
+    let files = files.iter().map(|(file, diags)| {
         let (e, w, i) = Diagnostic::tally(diags);
-        let _ = writeln!(
-            out,
-            "      \"counts\": {{ \"error\": {e}, \"warning\": {w}, \"info\": {i} }}"
-        );
-        out.push_str("    }");
-    }
-    if files.is_empty() {
-        out.push_str("]\n");
-    } else {
-        out.push_str("\n  ]\n");
-    }
-    out.push_str("}\n");
-    out
+        Json::obj([
+            ("file", file.as_str().into()),
+            (
+                "diagnostics",
+                Json::Arr(diags.iter().map(diag_json).collect()),
+            ),
+            (
+                "counts",
+                Json::obj([
+                    ("error", e.into()),
+                    ("warning", w.into()),
+                    ("info", i.into()),
+                ]),
+            ),
+        ])
+    });
+    Json::obj([
+        ("schema_version", LINT_SCHEMA_VERSION.into()),
+        ("files", Json::Arr(files.collect())),
+    ])
+    .to_pretty()
 }
 
-fn diag_json(d: &Diagnostic, indent: &str) -> String {
-    let mut out = String::new();
-    let _ = writeln!(out, "{indent}{{");
-    let _ = writeln!(out, "{indent}  \"rule\": {},", json_str(d.rule.code()));
-    let _ = writeln!(
-        out,
-        "{indent}  \"severity\": {},",
-        json_str(&d.severity.to_string())
-    );
-    let _ = writeln!(out, "{indent}  \"message\": {},", json_str(&d.message));
-    let _ = writeln!(out, "{indent}  \"span\": {},", span_json(d.primary));
-    let nodes: Vec<String> = d
-        .nodes
-        .iter()
-        .map(|n| {
-            format!(
-                "{{ \"name\": {}, \"span\": {} }}",
-                json_str(&n.name),
-                span_json(n.span)
-            )
+fn diag_json(d: &Diagnostic) -> Json {
+    let span_json = |span: Option<Span>| {
+        span.map_or(Json::Null, |s| {
+            Json::obj([("line", s.line.into()), ("col", s.col.into())])
         })
-        .collect();
-    let _ = writeln!(out, "{indent}  \"nodes\": [{}],", nodes.join(", "));
-    let channels: Vec<String> = d
-        .channels
-        .iter()
-        .map(|c| {
-            format!(
-                "{{ \"endpoints\": {}, \"span\": {} }}",
-                json_str(&c.endpoints),
-                span_json(c.span)
-            )
-        })
-        .collect();
-    let _ = writeln!(out, "{indent}  \"channels\": [{}],", channels.join(", "));
-    let related: Vec<String> = d.related.iter().map(|r| json_str(r.code())).collect();
-    let _ = writeln!(out, "{indent}  \"related\": [{}],", related.join(", "));
-    match d.predicted_throughput {
-        Some(t) => {
-            let _ = writeln!(
-                out,
-                "{indent}  \"predicted_throughput\": {{ \"num\": {}, \"den\": {} }},",
-                t.num(),
-                t.den()
-            );
-        }
-        None => {
-            let _ = writeln!(out, "{indent}  \"predicted_throughput\": null,");
-        }
-    }
-    match &d.fix_label {
-        Some(fix) => {
-            let _ = writeln!(out, "{indent}  \"fix\": {}", json_str(fix));
-        }
-        None => {
-            let _ = writeln!(out, "{indent}  \"fix\": null");
-        }
-    }
-    let _ = write!(out, "{indent}}}");
-    out
-}
-
-fn span_json(span: Option<Span>) -> String {
-    match span {
-        Some(s) => format!("{{ \"line\": {}, \"col\": {} }}", s.line, s.col),
-        None => "null".to_owned(),
-    }
-}
-
-/// Minimal JSON string escaping (mirrors the `lip_obs` encoder).
-fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
+    };
+    let nodes = d.nodes.iter().map(|n| {
+        Json::obj([
+            ("name", n.name.as_str().into()),
+            ("span", span_json(n.span)),
+        ])
+    });
+    let channels = d.channels.iter().map(|c| {
+        Json::obj([
+            ("endpoints", c.endpoints.as_str().into()),
+            ("span", span_json(c.span)),
+        ])
+    });
+    Json::obj([
+        ("rule", d.rule.code().into()),
+        ("severity", d.severity.to_string().into()),
+        ("message", d.message.as_str().into()),
+        ("span", span_json(d.primary)),
+        ("nodes", Json::Arr(nodes.collect())),
+        ("channels", Json::Arr(channels.collect())),
+        ("related", Json::arr(d.related.iter().map(|r| r.code()))),
+        (
+            "predicted_throughput",
+            d.predicted_throughput
+                .map_or(Json::Null, |t| Json::ratio(t.num(), t.den())),
+        ),
+        ("fix", d.fix_label.as_deref().into()),
+    ])
 }
 
 /// `true` when a diagnostic of `severity` should fail the build on its
@@ -248,15 +183,23 @@ mod tests {
         let json = render_json(&[("fig1".to_owned(), diags)]);
         assert!(json.starts_with("{\n  \"schema_version\": 1,"), "{json}");
         assert!(json.contains("\"rule\": \"LIP004\""));
-        assert!(json.contains("\"predicted_throughput\": { \"num\": 4, \"den\": 5 }"));
-        let opens = json.chars().filter(|c| "{[".contains(*c)).count();
-        let closes = json.chars().filter(|c| "}]".contains(*c)).count();
-        assert_eq!(opens, closes, "{json}");
+        let doc = lip_obs::json::parse(&json).unwrap();
+        let diag = &doc.get("files").and_then(Json::as_arr).unwrap()[0]
+            .get("diagnostics")
+            .and_then(Json::as_arr)
+            .unwrap()[0];
+        assert_eq!(diag.get("rule").and_then(Json::as_str), Some("LIP004"));
+        assert_eq!(diag.get("predicted_throughput"), Some(&Json::ratio(4, 5)));
+        assert_eq!(
+            doc.to_pretty(),
+            json,
+            "emit → parse → emit is byte-identical"
+        );
     }
 
     #[test]
     fn json_escapes_strings() {
-        assert_eq!(json_str("a\"b\\c\nd"), "\"a\\\"b\\\\c\\nd\"");
+        assert_eq!(Json::from("a\"b\\c\nd").to_compact(), "\"a\\\"b\\\\c\\nd\"");
     }
 
     #[test]

@@ -5,8 +5,8 @@
 use lip_core::pearl::IdentityPearl;
 use lip_core::RelayKind;
 use lip_graph::{generate, Netlist, SourceMap};
-use lip_lint::{apply_fixits, lint, RuleId};
-use lip_sim::{measure, Ratio};
+use lip_lint::{apply_fixits, apply_fixits_compiled, lint, RuleId};
+use lip_sim::{measure, Ratio, SettleProgram};
 
 /// Simulated system throughput (all corpus environments are periodic).
 fn throughput(netlist: &Netlist) -> Ratio {
@@ -106,4 +106,67 @@ fn equalizing_fig1_reaches_full_rate() {
     apply_fixits(&mut n, &diags).unwrap();
     assert_eq!(throughput(&n), Ratio::new(1, 1));
     assert!(lint(&n, &SourceMap::new()).is_empty());
+}
+
+/// Fork-joins whose relays are FIFOs: equalization must count a
+/// `Fifo(k)` station as the stage it is (one cycle forward, no initial
+/// token), exactly as the throughput model does. Both fix-it appliers
+/// must clear LIP004 and never lower the throughput.
+///
+/// Equalizing lowers the FIFOs' steady occupancy, so LIP007 (oversized
+/// FIFO) may fire again afterwards with a smaller proved capacity; the
+/// next `--fix` pass takes it. That is expected and not asserted here.
+#[test]
+fn fifo_fork_join_grid_fixes_never_slow_down() {
+    let mut checked = 0;
+    for (r1, r2, s) in (0..3).flat_map(|a| (0..3).flat_map(move |b| (0..3).map(move |c| (a, b, c))))
+    {
+        for cap in 2..6 {
+            for placement in ["long", "short", "all"] {
+                let f = generate::fork_join(r1, r2, s);
+                let relays = match placement {
+                    "long" => f.long_relays.clone(),
+                    "short" => f.short_relays.clone(),
+                    _ => [f.long_relays.clone(), f.short_relays.clone()].concat(),
+                };
+                let mut netlist = f.netlist;
+                for r in relays {
+                    netlist.set_relay_kind(r, RelayKind::Fifo(cap));
+                }
+                let name = format!("fork_join({r1},{r2},{s}) fifo:{cap} on {placement}");
+                let diags = lint(&netlist, &SourceMap::new());
+                if !diags.iter().any(|d| d.rule == RuleId::Lip004) {
+                    continue;
+                }
+                let before = throughput(&netlist);
+                let mut plain = netlist.clone();
+                apply_fixits(&mut plain, &diags).unwrap_or_else(|e| panic!("{name}: {e}"));
+                let mut compiled = netlist.clone();
+                let mut program = SettleProgram::compile(&compiled).unwrap();
+                apply_fixits_compiled(&mut compiled, &mut program, &diags)
+                    .unwrap_or_else(|e| panic!("{name}: {e}"));
+                for (applier, fixed) in [
+                    ("apply_fixits", &plain),
+                    ("apply_fixits_compiled", &compiled),
+                ] {
+                    let after = throughput(fixed);
+                    assert!(
+                        after.num() * before.den() >= before.num() * after.den(),
+                        "{name} via {applier}: throughput dropped {before} -> {after}"
+                    );
+                    assert!(
+                        !lint(fixed, &SourceMap::new())
+                            .iter()
+                            .any(|d| d.rule == RuleId::Lip004),
+                        "{name} via {applier}: LIP004 still fires"
+                    );
+                }
+                checked += 1;
+            }
+        }
+    }
+    assert!(
+        checked >= 100,
+        "only {checked} FIFO fork-joins needed equalizing"
+    );
 }

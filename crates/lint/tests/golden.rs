@@ -110,3 +110,20 @@ fn golden_json_schema_stable() {
     let json = render_json(&[("golden/lip004.lid".to_string(), diags)]);
     assert_golden("lip004", ".json.expected", &json);
 }
+
+#[test]
+fn golden_json_layout_change_keeps_the_document() {
+    // `lip004.json.hand_rolled` is the snapshot as the string-formatting
+    // renderer printed it before rendering moved onto the `lip_obs`
+    // codec. The layout changed; the document must not have.
+    let read = |file: &str| {
+        let path = golden_dir().join(file);
+        let text =
+            fs::read_to_string(&path).unwrap_or_else(|e| panic!("read {}: {e}", path.display()));
+        lip_obs::json::parse(&text).unwrap_or_else(|e| panic!("parse {}: {e}", path.display()))
+    };
+    assert_eq!(
+        read("lip004.json.hand_rolled"),
+        read("lip004.json.expected")
+    );
+}

@@ -12,6 +12,8 @@
 
 use std::fmt;
 
+use crate::json::Json;
+
 /// What happened. The `entity` field of an [`Event`] is interpreted per
 /// kind, as documented on each variant.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -104,13 +106,13 @@ impl Event {
     /// record format of [`JsonlSink`](crate::sink::JsonlSink).
     #[must_use]
     pub fn to_json(&self) -> String {
-        format!(
-            "{{\"cycle\":{},\"kind\":\"{}\",\"entity\":{},\"lane\":{}}}",
-            self.cycle,
-            self.kind.name(),
-            self.entity,
-            self.lane
-        )
+        Json::obj([
+            ("cycle", self.cycle.into()),
+            ("kind", self.kind.name().into()),
+            ("entity", self.entity.into()),
+            ("lane", self.lane.into()),
+        ])
+        .to_compact()
     }
 }
 
@@ -131,10 +133,12 @@ mod tests {
     #[test]
     fn json_record_is_stable() {
         let ev = Event::new(17, EventKind::VoidIn, 3, 5);
+        let line = ev.to_json();
         assert_eq!(
-            ev.to_json(),
+            line,
             "{\"cycle\":17,\"kind\":\"void_in\",\"entity\":3,\"lane\":5}"
         );
+        assert_eq!(crate::json::parse(&line).unwrap().to_compact(), line);
     }
 
     #[test]

@@ -40,6 +40,10 @@
 //!   compile-away [`NullRecorder`] idiom, rolled up with
 //!   [`KernelCounters`] into the versioned [`RuntimeReport`]
 //!   (`BENCH_runtime.json`) and rendered by [`runtime_chrome_trace`].
+//! * [`Json`] / [`parse`] — the workspace's one JSON codec: every
+//!   artefact above is built as a [`Json`] tree and printed by it
+//!   (compact for JSONL records, pretty for files), and `lip-delta`
+//!   reads artefacts back through its depth-limited parser.
 //! * [`ProgressSink`] / [`ProgressSnapshot`] — live sweep telemetry
 //!   (lanes converged, cycles/s, cache hit rate) published by
 //!   long-running measurement loops, exposed as a Prometheus-style
@@ -54,6 +58,7 @@
 
 pub mod event;
 pub mod flight;
+pub mod json;
 pub mod metrics;
 pub mod probe;
 pub mod profile;
@@ -68,6 +73,7 @@ pub use flight::{
     rec_span, FlightDump, FlightRecorder, FlightSpan, NullRecorder, RecSpan, Recorder, SpanRecord,
     SpanToken,
 };
+pub use json::{parse, Json};
 pub use metrics::{MetricsRegistry, Topology};
 pub use probe::{
     for_each_lane, for_each_lane_word, mask_count, mask_lane, EventStreamProbe, NullProbe, Probe,

@@ -16,6 +16,7 @@
 //! per 64 lanes regardless of width.
 
 use crate::event::Event;
+use crate::json::Json;
 use crate::probe::{for_each_lane_word, mask_count, Probe};
 
 /// The shape of the observed system: how many channels, shells and
@@ -205,28 +206,24 @@ impl MetricsRegistry {
 
     /// The counters as one JSON object (used inside `Report`s).
     #[must_use]
-    pub fn to_json(&self) -> String {
-        let list = |v: &[u64]| {
-            let items: Vec<String> = v.iter().map(u64::to_string).collect();
-            format!("[{}]", items.join(","))
-        };
-        let hists: Vec<String> = self.occupancy.iter().map(|h| list(h)).collect();
-        format!(
-            "{{\"cycles\":{},\"lanes\":{},\"stalls\":{},\"stall_discards\":{},\"voids\":{},\
-             \"void_ins\":{},\"consumed\":{},\"fires\":{},\"relay_fills\":{},\
-             \"relay_drains\":{},\"relay_occupancy\":[{}]}}",
-            self.cycles,
-            self.lanes,
-            list(&self.stalls),
-            list(&self.stall_discards),
-            list(&self.voids),
-            list(&self.void_ins),
-            list(&self.consumed),
-            list(&self.fires),
-            list(&self.relay_fills),
-            list(&self.relay_drains),
-            hists.join(",")
-        )
+    pub fn to_json(&self) -> Json {
+        let list = |v: &[u64]| Json::arr(v.iter().copied());
+        Json::obj([
+            ("cycles", self.cycles.into()),
+            ("lanes", self.lanes.into()),
+            ("stalls", list(&self.stalls)),
+            ("stall_discards", list(&self.stall_discards)),
+            ("voids", list(&self.voids)),
+            ("void_ins", list(&self.void_ins)),
+            ("consumed", list(&self.consumed)),
+            ("fires", list(&self.fires)),
+            ("relay_fills", list(&self.relay_fills)),
+            ("relay_drains", list(&self.relay_drains)),
+            (
+                "relay_occupancy",
+                Json::Arr(self.occupancy.iter().map(|h| list(h)).collect()),
+            ),
+        ])
     }
 
     /// Fold another registry's counters into this one — the reduction
@@ -489,8 +486,16 @@ mod tests {
         m.fire(0, 0, 0);
         m.end_cycle(0);
         let j = m.to_json();
-        assert!(j.starts_with('{') && j.ends_with('}'));
-        assert!(j.contains("\"fires\":[1,0]"));
-        assert!(j.contains("\"relay_occupancy\":[[1,0,0],[1,0]]"));
+        assert_eq!(j.get("fires"), Some(&Json::arr([1u64, 0])));
+        assert_eq!(
+            j.get("relay_occupancy"),
+            Some(&Json::arr([Json::arr([1u64, 0, 0]), Json::arr([1u64, 0])]))
+        );
+        assert_eq!(
+            j.to_compact(),
+            "{\"cycles\":1,\"lanes\":1,\"stalls\":[0,0,0],\"stall_discards\":[0,0,0],\
+             \"voids\":[0,0,0],\"void_ins\":[0,0,0],\"consumed\":[0,0,0],\"fires\":[1,0],\
+             \"relay_fills\":[0,0],\"relay_drains\":[0,0],\"relay_occupancy\":[[1,0,0],[1,0]]}"
+        );
     }
 }

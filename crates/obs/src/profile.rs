@@ -48,11 +48,10 @@
 //! to restrict the window to the steady state.
 
 use std::collections::VecDeque;
-use std::fmt::Write as _;
 
 use crate::event::{Event, EventKind};
+use crate::json::Json;
 use crate::probe::{mask_lane, Probe};
-use crate::telemetry::escape;
 
 /// Version of the [`BlameReport`] JSON layout. Re-exported from the
 /// central [`crate::schema`] registry; bump it there.
@@ -336,17 +335,15 @@ impl Histogram {
         self.total += other.total;
     }
 
-    /// `{"samples":…,"p50":…,"p95":…,"max":…}` (nulls when empty).
+    /// `{"samples": …, "p50": …, "p95": …, "max": …}` (nulls when empty).
     #[must_use]
-    pub fn summary_json(&self) -> String {
-        let opt = |v: Option<u64>| v.map_or_else(|| "null".to_owned(), |v| v.to_string());
-        format!(
-            "{{\"samples\":{},\"p50\":{},\"p95\":{},\"max\":{}}}",
-            self.total,
-            opt(self.percentile(50)),
-            opt(self.percentile(95)),
-            opt(self.max())
-        )
+    pub fn summary_json(&self) -> Json {
+        Json::obj([
+            ("samples", self.total.into()),
+            ("p50", self.percentile(50).into()),
+            ("p95", self.percentile(95).into()),
+            ("max", self.max().into()),
+        ])
     }
 }
 
@@ -490,97 +487,81 @@ impl BlameReport {
     pub fn to_json(&self) -> String {
         let g = &self.graph;
         let ent = |e: Entity| {
-            format!(
-                "{{\"entity\":\"{}\",\"name\":\"{}\",\"node\":{}}}",
-                e.label(),
-                escape(g.name(e)),
-                g.node(e)
-            )
+            Json::obj([
+                ("entity", e.label().into()),
+                ("name", g.name(e).into()),
+                ("node", g.node(e).into()),
+            ])
         };
-        let list = |v: &[u64]| {
-            let items: Vec<String> = v.iter().map(u64::to_string).collect();
-            format!("[{}]", items.join(","))
-        };
+        let list = |v: &[u64]| Json::arr(v.iter().copied());
         let total = self.total_blame();
-        let entries: Vec<String> = self
-            .entries
-            .iter()
-            .map(|e| {
-                #[allow(clippy::cast_precision_loss)]
-                let share = if total == 0 {
-                    0.0
-                } else {
-                    e.blamed as f64 / total as f64
-                };
-                format!(
-                    "{{\"entity\":\"{}\",\"name\":\"{}\",\"node\":{},\"blamed\":{},\"share\":{share}}}",
-                    e.entity.label(),
-                    escape(&e.name),
-                    e.node,
-                    e.blamed
-                )
-            })
-            .collect();
-        let cycle: Vec<String> = self.top_cycle.iter().map(|&e| ent(e)).collect();
-        let edges: Vec<String> = self
-            .edges
-            .iter()
-            .map(|e| {
-                format!(
-                    "{{\"from\":\"{}\",\"to\":\"{}\",\"void\":{},\"stop\":{}}}",
-                    e.from.label(),
-                    e.to.label(),
-                    e.void_weight,
-                    e.stop_weight
-                )
-            })
-            .collect();
-        let latency: Vec<String> = self
-            .latency
-            .iter()
-            .map(|p| {
-                format!(
-                    "{{\"source\":\"{}\",\"sink\":\"{}\",\"latency\":{}}}",
-                    escape(g.name(Entity::Source(p.source))),
-                    escape(g.name(Entity::Sink(p.sink))),
-                    p.histogram.summary_json()
-                )
-            })
-            .collect();
-        let relays: Vec<String> = (0..g.relay_count())
-            .map(|r| {
-                format!(
-                    "{{\"entity\":\"relay:{r}\",\"name\":\"{}\",\"capacity\":{},\"residency\":{},\"occupancy\":{}}}",
-                    escape(g.name(Entity::Relay(r as u32))),
-                    g.relay_capacity[r],
-                    self.relay_residency[r].summary_json(),
-                    list(&self.relay_occupancy[r])
-                )
-            })
-            .collect();
-        let mut out = String::new();
-        out.push_str("{\n");
-        let _ = writeln!(out, "  \"schema_version\": {BLAME_SCHEMA_VERSION},");
-        let _ = writeln!(out, "  \"kind\": \"blame_report\",");
-        let _ = writeln!(out, "  \"cycles\": {},", self.cycles);
-        let _ = writeln!(out, "  \"lane\": {},", self.lane);
-        let _ = writeln!(out, "  \"lost_cycles\": {},", self.lost_cycles);
-        let _ = writeln!(out, "  \"consumed\": {},", self.consumed);
-        let _ = writeln!(
-            out,
-            "  \"classification\": {{\"upstream_void\":{},\"downstream_stop\":{},\"both\":{}}},",
-            self.upstream_void, self.downstream_stop, self.both
-        );
-        let _ = writeln!(out, "  \"channel_stalls\": {},", list(&self.channel_stalls));
-        let _ = writeln!(out, "  \"channel_voids\": {},", list(&self.channel_voids));
-        let _ = writeln!(out, "  \"blame\": [{}],", entries.join(","));
-        let _ = writeln!(out, "  \"top_cycle\": [{}],", cycle.join(","));
-        let _ = writeln!(out, "  \"edges\": [{}],", edges.join(","));
-        let _ = writeln!(out, "  \"latency\": [{}],", latency.join(","));
-        let _ = writeln!(out, "  \"relays\": [{}],", relays.join(","));
-        let _ = writeln!(out, "  \"tokens_emitted\": {}", self.tokens_emitted);
-        out.push_str("}\n");
-        out
+        let entries = self.entries.iter().map(|e| {
+            #[allow(clippy::cast_precision_loss)]
+            let share = if total == 0 {
+                0.0
+            } else {
+                e.blamed as f64 / total as f64
+            };
+            Json::obj([
+                ("entity", e.entity.label().into()),
+                ("name", e.name.as_str().into()),
+                ("node", e.node.into()),
+                ("blamed", e.blamed.into()),
+                ("share", share.into()),
+            ])
+        });
+        let edges = self.edges.iter().map(|e| {
+            Json::obj([
+                ("from", e.from.label().into()),
+                ("to", e.to.label().into()),
+                ("void", e.void_weight.into()),
+                ("stop", e.stop_weight.into()),
+            ])
+        });
+        let latency = self.latency.iter().map(|p| {
+            Json::obj([
+                ("source", g.name(Entity::Source(p.source)).into()),
+                ("sink", g.name(Entity::Sink(p.sink)).into()),
+                ("latency", p.histogram.summary_json()),
+            ])
+        });
+        let relays = (0..g.relay_count()).map(|r| {
+            Json::obj([
+                ("entity", format!("relay:{r}").into()),
+                ("name", g.name(Entity::Relay(r as u32)).into()),
+                ("capacity", g.relay_capacity[r].into()),
+                ("residency", self.relay_residency[r].summary_json()),
+                ("occupancy", list(&self.relay_occupancy[r])),
+            ])
+        });
+        Json::obj([
+            ("schema_version", BLAME_SCHEMA_VERSION.into()),
+            ("kind", "blame_report".into()),
+            ("cycles", self.cycles.into()),
+            ("lane", self.lane.into()),
+            ("lost_cycles", self.lost_cycles.into()),
+            ("consumed", self.consumed.into()),
+            (
+                "classification",
+                Json::obj([
+                    ("upstream_void", self.upstream_void.into()),
+                    ("downstream_stop", self.downstream_stop.into()),
+                    ("both", self.both.into()),
+                ]),
+            ),
+            ("channel_stalls", list(&self.channel_stalls)),
+            ("channel_voids", list(&self.channel_voids)),
+            ("blame", Json::Arr(entries.collect())),
+            (
+                "top_cycle",
+                Json::Arr(self.top_cycle.iter().map(|&e| ent(e)).collect()),
+            ),
+            ("edges", Json::Arr(edges.collect())),
+            ("latency", Json::Arr(latency.collect())),
+            ("relays", Json::Arr(relays.collect())),
+            ("tokens_emitted", self.tokens_emitted.into()),
+        ])
+        .to_pretty()
     }
 }
 
@@ -1161,7 +1142,7 @@ mod tests {
         assert_eq!(h.percentile(0), None);
         assert_eq!(h.percentile(100), None);
         assert_eq!(
-            h.summary_json(),
+            h.summary_json().to_compact(),
             "{\"samples\":0,\"p50\":null,\"p95\":null,\"max\":null}"
         );
     }
@@ -1337,10 +1318,13 @@ mod tests {
         let mut p = CausalProfiler::new(g);
         p.stall(0, 1, 0);
         p.end_cycle(0);
-        let j = p.report().to_json();
-        assert!(j.contains("\"schema_version\": 1"));
-        assert!(j.contains("\"kind\": \"blame_report\""));
-        assert!(j.contains("\"blamed\":1"));
-        assert!(j.contains("\"channel_stalls\": [0,1]"));
+        let text = p.report().to_json();
+        assert!(text.contains("\"schema_version\": 1"));
+        let j = crate::json::parse(&text).unwrap();
+        assert_eq!(j.get("kind").and_then(Json::as_str), Some("blame_report"));
+        let blame = j.get("blame").and_then(Json::as_arr).unwrap();
+        assert_eq!(blame[0].get("blamed"), Some(&Json::Int(1)));
+        assert_eq!(j.get("channel_stalls"), Some(&Json::arr([0u64, 1])));
+        assert_eq!(j.to_pretty(), text, "emit → parse → emit is byte-identical");
     }
 }

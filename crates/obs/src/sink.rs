@@ -398,23 +398,27 @@ mod tests {
     #[test]
     fn json_string_escaping_of_unusual_netlist_names() {
         // Netlist names flow into JSON documents (telemetry reports,
-        // blame reports, Chrome-trace track names) through one shared
-        // escaper; quotes, backslashes, control characters and
-        // non-ASCII must all survive as valid JSON string content.
-        let escape = crate::telemetry::escape;
-        assert_eq!(escape(r#"a"b"#), r#"a\"b"#);
-        assert_eq!(escape(r"a\b"), r"a\\b");
-        assert_eq!(escape("a\nb\tc"), r"a\nb\tc");
-        assert_eq!(escape("\u{1}"), r"\u0001");
+        // blame reports, Chrome-trace track names) through the one
+        // codec; quotes, backslashes, control characters and non-ASCII
+        // must all survive as valid JSON string content.
+        let escape = |s: &str| crate::json::Json::from(s).to_compact();
+        assert_eq!(escape(r#"a"b"#), r#""a\"b""#);
+        assert_eq!(escape(r"a\b"), r#""a\\b""#);
+        assert_eq!(escape("a\nb\tc"), r#""a\nb\tc""#);
+        assert_eq!(escape("\u{1}"), r#""\u0001""#);
         // Non-ASCII passes through unescaped (JSON is UTF-8).
-        assert_eq!(escape("fifo·π→Ω"), "fifo·π→Ω");
+        assert_eq!(escape("fifo·π→Ω"), "\"fifo·π→Ω\"");
         // End to end: a report field with a hostile name round-trips
-        // into a syntactically balanced JSON document.
+        // through the parser.
         let mut report = crate::Report::new("escape_test");
-        report.push_str("name", "w\\6\"\n·π");
-        let json = report.to_json();
-        assert!(json.contains(r#""w\\6\"\n·π""#));
-        assert_eq!(json.matches('{').count(), json.matches('}').count());
+        report.push("name", "w\\6\"\n·π");
+        let text = report.to_json();
+        assert!(text.contains(r#""w\\6\"\n·π""#));
+        let json = crate::json::parse(&text).unwrap();
+        assert_eq!(
+            json.get("name").and_then(|v| v.as_str()),
+            Some("w\\6\"\n·π")
+        );
     }
 
     /// A writer whose flushes are visible after the sink is gone.

@@ -16,6 +16,8 @@ use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
 
+use crate::json::Json;
+
 /// Version of the `Report` JSON layout (and of the `schema_version`
 /// field in `BENCH_skeleton.json`). Re-exported from the central
 /// [`crate::schema`] registry; bump it there.
@@ -193,38 +195,13 @@ impl TransientDetector {
     }
 }
 
-/// Escape `s` for embedding in a JSON string literal (shared with the
-/// profiler's and trace exporter's hand-rolled serialisers).
-pub(crate) fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 /// A versioned telemetry document: `schema_version`, the experiment
-/// name, and an ordered set of fields.
-///
-/// Serialisation is hand-rolled (the workspace is offline — no serde):
-/// fields keep insertion order, values are raw JSON fragments produced
-/// by the typed `push_*` helpers or [`Report::push_raw`] for nested
-/// objects such as
-/// [`MetricsRegistry::to_json`](crate::metrics::MetricsRegistry::to_json).
+/// name, and an ordered set of fields, printed in the codec's pretty
+/// layout.
 #[derive(Debug, Clone)]
 pub struct Report {
     experiment: String,
-    fields: Vec<(String, String)>,
+    fields: Vec<(String, Json)>,
 }
 
 impl Report {
@@ -243,50 +220,25 @@ impl Report {
         &self.experiment
     }
 
-    /// Append a field holding a pre-serialised JSON fragment.
-    pub fn push_raw(&mut self, key: impl Into<String>, json: impl Into<String>) -> &mut Self {
-        self.fields.push((key.into(), json.into()));
+    /// Append a field holding any JSON value: an integer, float
+    /// (`null` when not finite), string, boolean, option, or a nested
+    /// tree such as
+    /// [`MetricsRegistry::to_json`](crate::metrics::MetricsRegistry::to_json).
+    pub fn push(&mut self, key: impl Into<String>, value: impl Into<Json>) -> &mut Self {
+        self.fields.push((key.into(), value.into()));
         self
     }
 
-    /// Append an integer field.
-    pub fn push_int(&mut self, key: impl Into<String>, value: u64) -> &mut Self {
-        self.push_raw(key, value.to_string())
-    }
-
-    /// Append a float field (serialised via `Display`, `null` when not
-    /// finite).
-    pub fn push_f64(&mut self, key: impl Into<String>, value: f64) -> &mut Self {
-        let json = if value.is_finite() {
-            format!("{value}")
-        } else {
-            "null".to_owned()
-        };
-        self.push_raw(key, json)
-    }
-
-    /// Append a string field (escaped).
-    pub fn push_str(&mut self, key: impl Into<String>, value: &str) -> &mut Self {
-        self.push_raw(key, format!("\"{}\"", escape(value)))
-    }
-
-    /// Append a boolean field.
-    pub fn push_bool(&mut self, key: impl Into<String>, value: bool) -> &mut Self {
-        self.push_raw(key, value.to_string())
-    }
-
-    /// Append an exact ratio as `{"num":…,"den":…,"value":…}`.
+    /// Append an exact ratio as `{"num": …, "den": …, "value": …}`.
     pub fn push_ratio(&mut self, key: impl Into<String>, num: u64, den: u64) -> &mut Self {
         #[allow(clippy::cast_precision_loss)]
-        let value = if den == 0 {
-            "null".to_owned()
-        } else {
-            format!("{}", num as f64 / den as f64)
-        };
-        self.push_raw(
-            key,
-            format!("{{\"num\":{num},\"den\":{den},\"value\":{value}}}"),
-        )
+        let value = (den != 0).then(|| num as f64 / den as f64);
+        let ratio = [
+            ("num", num.into()),
+            ("den", den.into()),
+            ("value", value.into()),
+        ];
+        self.push(key, Json::obj(ratio))
     }
 
     /// Fold another report's fields into this one, each key prefixed
@@ -303,18 +255,19 @@ impl Report {
         self
     }
 
-    /// Serialise the report (pretty-printed, one field per line).
+    /// Serialise the report (pretty layout, one field per line).
     #[must_use]
     pub fn to_json(&self) -> String {
-        let mut out = String::new();
-        out.push_str("{\n");
-        let _ = writeln!(out, "  \"schema_version\": {SCHEMA_VERSION},");
-        let _ = write!(out, "  \"experiment\": \"{}\"", escape(&self.experiment));
-        for (key, json) in &self.fields {
-            let _ = write!(out, ",\n  \"{}\": {}", escape(key), json);
-        }
-        out.push_str("\n}\n");
-        out
+        let head = [
+            ("schema_version".to_owned(), SCHEMA_VERSION.into()),
+            ("experiment".to_owned(), self.experiment.as_str().into()),
+        ];
+        Json::Obj(
+            head.into_iter()
+                .chain(self.fields.iter().cloned())
+                .collect(),
+        )
+        .to_pretty()
     }
 
     /// Write the report to `dir/<experiment>.json`, creating `dir` as
@@ -364,10 +317,12 @@ impl ProgressSnapshot {
     /// `# EOF`; callers concatenate snapshots into one document).
     #[must_use]
     pub fn prometheus_text(&self) -> String {
+        // Prometheus label values escape `\\`, `"` and newlines exactly
+        // as JSON strings do.
         let labels = format!(
-            "{{experiment=\"{}\",topology=\"{}\"}}",
-            escape(&self.experiment),
-            escape(&self.topology)
+            "{{experiment={},topology={}}}",
+            Json::from(self.experiment.as_str()).to_compact(),
+            Json::from(self.topology.as_str()).to_compact()
         );
         let mut out = String::new();
         let _ = writeln!(out, "lip_lanes{labels} {}", self.lanes);
@@ -572,36 +527,72 @@ mod tests {
     #[test]
     fn report_serialises_versioned_fields_in_order() {
         let mut r = Report::new("unit_test");
-        r.push_int("cycles", 100)
+        r.push("cycles", 100)
             .push_ratio("throughput", 4, 5)
-            .push_str("note", "a \"quoted\" line")
-            .push_bool("ok", true)
-            .push_raw("nested", "{\"x\":1}");
-        let j = r.to_json();
-        assert!(j.starts_with("{\n  \"schema_version\": 2,\n  \"experiment\": \"unit_test\""));
-        assert!(j.contains("\"throughput\": {\"num\":4,\"den\":5,\"value\":0.8}"));
-        assert!(j.contains("\"note\": \"a \\\"quoted\\\" line\""));
-        let cy = j.find("\"cycles\"").unwrap();
-        let ok = j.find("\"ok\"").unwrap();
-        assert!(cy < ok, "insertion order preserved");
+            .push("note", "a \"quoted\" line")
+            .push("ok", true)
+            .push("nested", Json::obj([("x", Json::Int(1))]));
+        let text = r.to_json();
+        assert!(text.starts_with("{\n  \"schema_version\": 2,\n  \"experiment\": \"unit_test\""));
+        let j = crate::json::parse(&text).unwrap();
+        let keys: Vec<&str> = j
+            .as_obj()
+            .unwrap()
+            .iter()
+            .map(|(k, _)| k.as_str())
+            .collect();
+        assert_eq!(
+            keys,
+            [
+                "schema_version",
+                "experiment",
+                "cycles",
+                "throughput",
+                "note",
+                "ok",
+                "nested"
+            ],
+            "insertion order preserved"
+        );
+        assert_eq!(
+            j.get("throughput"),
+            Some(&Json::obj([
+                ("num", Json::Int(4)),
+                ("den", Json::Int(5)),
+                ("value", Json::Float(0.8))
+            ]))
+        );
+        assert_eq!(
+            j.get("note").and_then(Json::as_str),
+            Some("a \"quoted\" line")
+        );
+        assert_eq!(j.to_pretty(), text, "emit → parse → emit is byte-identical");
     }
 
     #[test]
     fn absorb_prefixes_and_preserves_order() {
         let mut main = Report::new("sweep");
-        main.push_int("threads", 4);
+        main.push("threads", 4);
         let mut w0 = Report::new("worker0");
-        w0.push_int("cycles", 10).push_bool("ok", true);
+        w0.push("cycles", 10).push("ok", true);
         let mut w1 = Report::new("worker1");
-        w1.push_int("cycles", 20);
+        w1.push("cycles", 20);
         main.absorb(&w0).absorb(&w1);
-        let j = main.to_json();
-        assert!(j.contains("\"worker0.cycles\": 10"));
-        assert!(j.contains("\"worker0.ok\": true"));
-        assert!(j.contains("\"worker1.cycles\": 20"));
-        let a = j.find("worker0.cycles").unwrap();
-        let b = j.find("worker1.cycles").unwrap();
-        assert!(a < b, "absorb order preserved");
+        let j = crate::json::parse(&main.to_json()).unwrap();
+        let fields: Vec<(&str, &Json)> = j.as_obj().unwrap()[2..]
+            .iter()
+            .map(|(k, v)| (k.as_str(), v))
+            .collect();
+        assert_eq!(
+            fields,
+            [
+                ("threads", &Json::Int(4)),
+                ("worker0.cycles", &Json::Int(10)),
+                ("worker0.ok", &Json::Bool(true)),
+                ("worker1.cycles", &Json::Int(20)),
+            ],
+            "prefixed, absorb order preserved"
+        );
     }
 
     #[test]
@@ -609,7 +600,7 @@ mod tests {
         let dir = std::env::temp_dir().join("lip_obs_report_test");
         let _ = fs::remove_dir_all(&dir);
         let mut r = Report::new("smoke");
-        r.push_int("n", 1);
+        r.push("n", 1);
         let path = r.write_to(&dir).unwrap();
         let body = fs::read_to_string(&path).unwrap();
         assert!(body.contains("\"schema_version\": 2"));

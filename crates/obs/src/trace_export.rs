@@ -17,16 +17,48 @@
 //!   length.
 //!
 //! Timestamps are protocol cycles written as microseconds (1 cycle =
-//! 1 µs), so viewer zoom levels stay sane. All strings pass through the
-//! shared JSON escaper, and the document is plain hand-rolled JSON like
-//! every other artefact in the crate (no serde in the offline
-//! workspace).
-
-use std::fmt::Write as _;
+//! 1 µs), so viewer zoom levels stay sane. All three writers build
+//! their event lists as [`Json`] values and share one document
+//! serialiser, so every string is escaped by construction.
 
 use crate::flight::FlightDump;
+use crate::json::Json;
 use crate::profile::{CausalProfiler, Entity};
-use crate::telemetry::escape;
+
+/// The Trace Event Format document around `events`, in the codec's
+/// pretty layout.
+fn trace_document(events: Vec<Json>) -> String {
+    Json::obj([
+        ("displayTimeUnit", "ms".into()),
+        ("traceEvents", Json::Arr(events)),
+    ])
+    .to_pretty()
+}
+
+/// A `"M"` metadata event: `what` is `process_name` (at `tid` 0) or
+/// `thread_name`.
+fn metadata(what: &str, tid: impl Into<Json>, name: impl Into<Json>) -> Json {
+    Json::obj([
+        ("name", what.into()),
+        ("ph", "M".into()),
+        ("pid", 1u32.into()),
+        ("tid", tid.into()),
+        ("args", Json::obj([("name", name.into())])),
+    ])
+}
+
+/// A complete (`"X"`) slice.
+fn slice(name: &str, cat: &str, ts: Json, dur: Json, tid: impl Into<Json>) -> Json {
+    Json::obj([
+        ("name", name.into()),
+        ("cat", cat.into()),
+        ("ph", "X".into()),
+        ("ts", ts),
+        ("dur", dur),
+        ("pid", 1u32.into()),
+        ("tid", tid.into()),
+    ])
+}
 
 /// Render `profiler`'s retained spans as a Chrome-trace JSON document.
 ///
@@ -36,21 +68,14 @@ use crate::telemetry::escape;
 #[must_use]
 pub fn chrome_trace_json(profiler: &CausalProfiler, end_cycle: u64) -> String {
     let g = profiler.graph();
-    let mut events: Vec<String> = Vec::new();
-
     // Track metadata: one process, one named thread per entity.
-    events.push(
-        "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":1,\"tid\":0,\
-         \"args\":{\"name\":\"lip\"}}"
-            .to_owned(),
-    );
+    let mut events = vec![metadata("process_name", 0u32, "lip")];
     for id in 0..g.entity_count() {
         let e = g.entity(id);
-        events.push(format!(
-            "{{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":1,\"tid\":{id},\
-             \"args\":{{\"name\":\"{} {}\"}}}}",
-            e.label(),
-            escape(g.name(e))
+        events.push(metadata(
+            "thread_name",
+            id,
+            format!("{} {}", e.label(), g.name(e)),
         ));
     }
 
@@ -58,11 +83,8 @@ pub fn chrome_trace_json(profiler: &CausalProfiler, end_cycle: u64) -> String {
     // of the window).
     let mut stall_slice = |shell: u32, start: u64, end: u64| {
         let tid = g.dense(Entity::Shell(shell));
-        events.push(format!(
-            "{{\"name\":\"stall\",\"cat\":\"stall\",\"ph\":\"X\",\
-             \"ts\":{start},\"dur\":{},\"pid\":1,\"tid\":{tid}}}",
-            end.saturating_sub(start).max(1)
-        ));
+        let dur = end.saturating_sub(start).max(1);
+        events.push(slice("stall", "stall", start.into(), dur.into(), tid));
     };
     for span in profiler.stall_spans() {
         stall_slice(span.shell, span.start, span.end);
@@ -76,11 +98,13 @@ pub fn chrome_trace_json(profiler: &CausalProfiler, end_cycle: u64) -> String {
     // Relay residency slices.
     for hop in profiler.hop_spans() {
         let tid = g.dense(Entity::Relay(hop.relay));
-        events.push(format!(
-            "{{\"name\":\"resident\",\"cat\":\"relay\",\"ph\":\"X\",\
-             \"ts\":{},\"dur\":{},\"pid\":1,\"tid\":{tid}}}",
-            hop.enter,
-            hop.exit.saturating_sub(hop.enter).max(1)
+        let dur = hop.exit.saturating_sub(hop.enter).max(1);
+        events.push(slice(
+            "resident",
+            "relay",
+            hop.enter.into(),
+            dur.into(),
+            tid,
         ));
     }
 
@@ -96,43 +120,37 @@ pub fn chrome_trace_json(profiler: &CausalProfiler, end_cycle: u64) -> String {
             }
             let name = format!(
                 "token {}\u{2192}{}",
-                escape(g.name(Entity::Source(i as u32))),
-                escape(g.name(Entity::Sink(j as u32)))
+                g.name(Entity::Source(i as u32)),
+                g.name(Entity::Sink(j as u32))
             );
             let tid = g.dense(Entity::Sink(j as u32));
             let emits = &profiler.emissions()[i];
             let consumes = &profiler.consumptions()[j];
-            for (k, (em, co)) in emits.iter().zip(consumes).enumerate() {
+            for (k, (&em, &co)) in emits.iter().zip(consumes).enumerate() {
                 if co < em {
                     continue; // initial in-flight token, not ours
                 }
                 let id = (pair << 32) | k as u64;
-                events.push(format!(
-                    "{{\"name\":\"{name}\",\"cat\":\"token\",\"ph\":\"b\",\
-                     \"ts\":{em},\"pid\":1,\"tid\":{tid},\"id\":{id},\
-                     \"args\":{{\"seq\":{k}}}}}"
-                ));
-                events.push(format!(
-                    "{{\"name\":\"{name}\",\"cat\":\"token\",\"ph\":\"e\",\
-                     \"ts\":{co},\"pid\":1,\"tid\":{tid},\"id\":{id}}}"
-                ));
+                let span = |ph: &str, ts: u64| {
+                    vec![
+                        ("name", name.as_str().into()),
+                        ("cat", "token".into()),
+                        ("ph", ph.into()),
+                        ("ts", ts.into()),
+                        ("pid", 1u32.into()),
+                        ("tid", tid.into()),
+                        ("id", id.into()),
+                    ]
+                };
+                let mut begin = span("b", em);
+                begin.push(("args", Json::obj([("seq", k.into())])));
+                events.push(Json::obj(begin));
+                events.push(Json::obj(span("e", co)));
             }
             pair += 1;
         }
     }
-
-    let mut out = String::with_capacity(events.iter().map(String::len).sum::<usize>() + 64);
-    out.push_str("{\"displayTimeUnit\":\"ms\",\"traceEvents\":[\n");
-    for (i, ev) in events.iter().enumerate() {
-        out.push_str(ev);
-        if i + 1 != events.len() {
-            out.push(',');
-        }
-        out.push('\n');
-    }
-    let _ = write!(out, "]}}");
-    out.push('\n');
-    out
+    trace_document(events)
 }
 
 /// Render a drained flight-recorder dump (see
@@ -147,53 +165,28 @@ pub fn chrome_trace_json(profiler: &CausalProfiler, end_cycle: u64) -> String {
 /// fractional microseconds, the format's native unit.
 #[must_use]
 pub fn runtime_chrome_trace(dump: &FlightDump) -> String {
-    let mut events: Vec<String> = Vec::new();
-    events.push(
-        "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":1,\"tid\":0,\
-         \"args\":{\"name\":\"lip-runtime\"}}"
-            .to_owned(),
-    );
+    let mut events = vec![metadata("process_name", 0u32, "lip-runtime")];
     for tid in 0..dump.threads {
         let name = if tid == 0 { "driver" } else { "worker" };
-        events.push(format!(
-            "{{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":1,\"tid\":{tid},\
-             \"args\":{{\"name\":\"{name} {tid}\"}}}}"
-        ));
+        events.push(metadata("thread_name", tid, format!("{name} {tid}")));
     }
     #[allow(clippy::cast_precision_loss)]
-    let us = |ns: u64| ns as f64 / 1000.0;
+    let us = |ns: u64| Json::Float(ns as f64 / 1000.0);
     for span in &dump.spans {
-        events.push(format!(
-            "{{\"name\":\"{}\",\"cat\":\"{}\",\"ph\":\"X\",\"ts\":{},\"dur\":{},\
-             \"pid\":1,\"tid\":{}}}",
-            escape(&span.name),
-            escape(span.cat),
-            us(span.start_ns),
-            us(span.dur_ns.max(1)),
-            span.tid
-        ));
+        let (ts, dur) = (us(span.start_ns), us(span.dur_ns.max(1)));
+        events.push(slice(&span.name, span.cat, ts, dur, span.tid));
     }
-    for (name, value) in &dump.counters {
-        events.push(format!(
-            "{{\"name\":\"{}\",\"ph\":\"C\",\"ts\":{},\"pid\":1,\"tid\":0,\
-             \"args\":{{\"value\":{value}}}}}",
-            escape(name),
-            us(dump.wall_ns)
-        ));
+    for (name, &value) in &dump.counters {
+        events.push(Json::obj([
+            ("name", name.as_str().into()),
+            ("ph", "C".into()),
+            ("ts", us(dump.wall_ns)),
+            ("pid", 1u32.into()),
+            ("tid", 0u32.into()),
+            ("args", Json::obj([("value", value.into())])),
+        ]));
     }
-
-    let mut out = String::with_capacity(events.iter().map(String::len).sum::<usize>() + 64);
-    out.push_str("{\"displayTimeUnit\":\"ms\",\"traceEvents\":[\n");
-    for (i, ev) in events.iter().enumerate() {
-        out.push_str(ev);
-        if i + 1 != events.len() {
-            out.push(',');
-        }
-        out.push('\n');
-    }
-    let _ = write!(out, "]}}");
-    out.push('\n');
-    out
+    trace_document(events)
 }
 
 /// One interval on a [`ScheduleTrack`], in protocol cycles.
@@ -228,48 +221,20 @@ pub struct ScheduleTrack {
 /// Same Trace Event Format and conventions as [`chrome_trace_json`]:
 /// one process named `process`, one named thread per track (`tid` =
 /// track index), a complete (`"X"`) slice per [`ScheduleSlice`], and
-/// cycles written as microseconds. Strings pass through the shared
-/// escaper; the document is hand-rolled JSON (no serde offline).
+/// cycles written as microseconds.
 #[must_use]
 pub fn schedule_chrome_trace(process: &str, tracks: &[ScheduleTrack]) -> String {
-    let mut events: Vec<String> = Vec::new();
-    events.push(format!(
-        "{{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":1,\"tid\":0,\
-         \"args\":{{\"name\":\"{}\"}}}}",
-        escape(process)
-    ));
+    let mut events = vec![metadata("process_name", 0u32, process)];
     for (tid, track) in tracks.iter().enumerate() {
-        events.push(format!(
-            "{{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":1,\"tid\":{tid},\
-             \"args\":{{\"name\":\"{}\"}}}}",
-            escape(&track.name)
-        ));
+        events.push(metadata("thread_name", tid, track.name.as_str()));
     }
     for (tid, track) in tracks.iter().enumerate() {
         for s in &track.slices {
-            events.push(format!(
-                "{{\"name\":\"{}\",\"cat\":\"{}\",\"ph\":\"X\",\
-                 \"ts\":{},\"dur\":{},\"pid\":1,\"tid\":{tid}}}",
-                escape(&s.name),
-                escape(&s.cat),
-                s.start,
-                s.end.saturating_sub(s.start).max(1)
-            ));
+            let dur = s.end.saturating_sub(s.start).max(1);
+            events.push(slice(&s.name, &s.cat, s.start.into(), dur.into(), tid));
         }
     }
-
-    let mut out = String::with_capacity(events.iter().map(String::len).sum::<usize>() + 64);
-    out.push_str("{\"displayTimeUnit\":\"ms\",\"traceEvents\":[\n");
-    for (i, ev) in events.iter().enumerate() {
-        out.push_str(ev);
-        if i + 1 != events.len() {
-            out.push(',');
-        }
-        out.push('\n');
-    }
-    let _ = write!(out, "]}}");
-    out.push('\n');
-    out
+    trace_document(events)
 }
 
 #[cfg(test)]
@@ -298,6 +263,36 @@ mod tests {
         }
     }
 
+    /// The parsed `traceEvents` of a rendered document, after checking
+    /// that it re-prints byte-identically.
+    fn events(text: &str) -> Vec<Json> {
+        let doc = crate::json::parse(text).unwrap();
+        assert_eq!(
+            doc.to_pretty(),
+            text,
+            "emit → parse → emit is byte-identical"
+        );
+        assert_eq!(
+            doc.get("displayTimeUnit").and_then(Json::as_str),
+            Some("ms")
+        );
+        doc.get("traceEvents")
+            .and_then(Json::as_arr)
+            .unwrap()
+            .to_vec()
+    }
+
+    fn field<'a>(ev: &'a Json, key: &str) -> &'a Json {
+        ev.get(key).unwrap_or(&Json::Null)
+    }
+
+    fn count(events: &[Json], key: &str, value: &str) -> usize {
+        events
+            .iter()
+            .filter(|e| field(e, key).as_str() == Some(value))
+            .count()
+    }
+
     #[test]
     fn trace_has_tracks_slices_and_token_spans() {
         let mut p = CausalProfiler::new(relay_pipeline());
@@ -309,30 +304,27 @@ mod tests {
         p.relay_drain(1, 0, 0);
         p.consume(1, 2, 0);
         p.end_cycle(1);
-        let json = chrome_trace_json(&p, 2);
-        assert!(json.starts_with("{\"displayTimeUnit\""));
-        assert!(json.contains("\"traceEvents\""));
+        let ev = events(&chrome_trace_json(&p, 2));
         // One named track per entity (4), plus process_name.
-        assert_eq!(json.matches("\"ph\":\"M\"").count(), 5);
-        // The quote in the relay name is escaped.
-        assert!(json.contains("relay:0 r\\\"1"));
+        assert_eq!(count(&ev, "ph", "M"), 5);
+        // The quote in the relay name survives escaping.
+        assert!(ev
+            .iter()
+            .any(|e| field(field(e, "args"), "name").as_str() == Some("relay:0 r\"1")));
         // The shell's open stall run is closed at end_cycle.
-        assert!(json.contains("\"cat\":\"stall\""));
+        assert_eq!(count(&ev, "cat", "stall"), 1);
         // Relay residency slice.
-        assert!(json.contains("\"cat\":\"resident\"") || json.contains("\"name\":\"resident\""));
+        assert_eq!(count(&ev, "name", "resident"), 1);
         // Exactly one async begin/end pair for the delivered token.
-        assert_eq!(json.matches("\"ph\":\"b\"").count(), 1);
-        assert_eq!(json.matches("\"ph\":\"e\"").count(), 1);
-        // No trailing comma before the closing bracket.
-        assert!(!json.contains(",\n]"));
+        assert_eq!(count(&ev, "ph", "b"), 1);
+        assert_eq!(count(&ev, "ph", "e"), 1);
     }
 
     #[test]
     fn empty_profiler_renders_valid_skeleton() {
         let p = CausalProfiler::new(relay_pipeline());
-        let json = chrome_trace_json(&p, 0);
-        assert!(json.contains("\"traceEvents\""));
-        assert_eq!(json.matches("\"ph\":\"b\"").count(), 0);
+        let ev = events(&chrome_trace_json(&p, 0));
+        assert_eq!(count(&ev, "ph", "b"), 0);
     }
 
     #[test]
@@ -343,18 +335,23 @@ mod tests {
             let _child = rec.span("measure", "fig\"1");
             rec.add("cache.hits", 5);
         }
-        let json = runtime_chrome_trace(&rec.drain());
-        assert!(json.starts_with("{\"displayTimeUnit\""));
+        let ev = events(&runtime_chrome_trace(&rec.drain()));
         // process_name + one thread_name.
-        assert_eq!(json.matches("\"ph\":\"M\"").count(), 2);
-        assert!(json.contains("lip-runtime"));
+        assert_eq!(count(&ev, "ph", "M"), 2);
+        assert_eq!(
+            field(field(&ev[0], "args"), "name").as_str(),
+            Some("lip-runtime")
+        );
         // Two complete slices, quote escaped.
-        assert_eq!(json.matches("\"ph\":\"X\"").count(), 2);
-        assert!(json.contains("fig\\\"1"));
+        assert_eq!(count(&ev, "ph", "X"), 2);
+        assert_eq!(count(&ev, "name", "fig\"1"), 1);
         // One counter event.
-        assert_eq!(json.matches("\"ph\":\"C\"").count(), 1);
-        assert!(json.contains("\"value\":5"));
-        assert!(!json.contains(",\n]"));
+        assert_eq!(count(&ev, "ph", "C"), 1);
+        let counter = ev
+            .iter()
+            .find(|e| field(e, "ph").as_str() == Some("C"))
+            .unwrap();
+        assert_eq!(field(field(counter, "args"), "value"), &Json::Int(5));
     }
 
     #[test]
@@ -387,23 +384,33 @@ mod tests {
                 }],
             },
         ];
-        let json = schedule_chrome_trace("lip-mc", &tracks);
-        assert!(json.starts_with("{\"displayTimeUnit\""));
+        let ev = events(&schedule_chrome_trace("lip-mc", &tracks));
         // process_name + two thread_names, quote escaped.
-        assert_eq!(json.matches("\"ph\":\"M\"").count(), 3);
-        assert!(json.contains("lip-mc"));
-        assert!(json.contains("source \\\"A\\\""));
+        assert_eq!(count(&ev, "ph", "M"), 3);
+        assert_eq!(
+            field(field(&ev[0], "args"), "name").as_str(),
+            Some("lip-mc")
+        );
+        assert_eq!(
+            field(field(&ev[1], "args"), "name").as_str(),
+            Some("source \"A\"")
+        );
         // Three complete slices; the empty one got dur 1.
-        assert_eq!(json.matches("\"ph\":\"X\"").count(), 3);
-        assert!(json.contains("\"ts\":3,\"dur\":1"));
-        assert!(!json.contains(",\n]"));
+        assert_eq!(count(&ev, "ph", "X"), 3);
+        let void = ev
+            .iter()
+            .find(|e| field(e, "name").as_str() == Some("void"))
+            .unwrap();
+        assert_eq!(
+            (field(void, "ts"), field(void, "dur")),
+            (&Json::Int(3), &Json::Int(1))
+        );
     }
 
     #[test]
     fn schedule_trace_with_no_tracks_is_valid() {
-        let json = schedule_chrome_trace("empty", &[]);
-        assert!(json.contains("\"traceEvents\""));
-        assert_eq!(json.matches("\"ph\":\"X\"").count(), 0);
-        assert!(!json.contains(",\n]"));
+        let ev = events(&schedule_chrome_trace("empty", &[]));
+        assert_eq!(count(&ev, "ph", "X"), 0);
+        assert_eq!(ev.len(), 1, "only the process name");
     }
 }

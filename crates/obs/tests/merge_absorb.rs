@@ -149,9 +149,9 @@ fn concurrent_worker_registries_merge_independent_of_worker_count() {
 /// Per-worker report as the sweep executor writes it.
 fn worker_report(w: usize, reg: &MetricsRegistry) -> Report {
     let mut r = Report::new(format!("worker{w}"));
-    r.push_int("cycles", reg.cycles())
-        .push_int("fires", reg.total_fires())
-        .push_raw("metrics", reg.to_json());
+    r.push("cycles", reg.cycles())
+        .push("fires", reg.total_fires())
+        .push("metrics", reg.to_json());
     r
 }
 
@@ -192,7 +192,7 @@ fn report_absorb_is_worker_count_independent_over_concurrent_workers() {
             }
         });
         let mut main = Report::new("sweep");
-        main.push_int("lanes", u64::from(lanes));
+        main.push("lanes", u64::from(lanes));
         for (w, reg) in regs.iter().enumerate() {
             main.absorb(&worker_report(w, reg));
         }

@@ -17,7 +17,7 @@
 use std::sync::Arc;
 
 use lip_graph::{Netlist, NetlistError};
-use lip_obs::{chrome_trace_json, BlameReport, CausalProfiler, MetricsRegistry, Tee};
+use lip_obs::{chrome_trace_json, BlameReport, CausalProfiler, Json, MetricsRegistry, Tee};
 
 use crate::measure::Periodicity;
 use crate::program::SettleProgram;
@@ -63,6 +63,24 @@ pub struct ProfiledRun {
     /// Window length in cycles (a whole multiple of the period when one
     /// was found).
     pub window: u64,
+}
+
+impl ProfiledRun {
+    /// `(begins, ends)`: the async token-span events (`ph` `"b"` and
+    /// `"e"`) in [`ProfiledRun::trace_json`], one pair per delivered
+    /// token.
+    #[must_use]
+    pub fn token_spans(&self) -> (u64, u64) {
+        let doc = lip_obs::parse(&self.trace_json).expect("the trace is the codec's own output");
+        let events = doc.get("traceEvents").and_then(Json::as_arr).unwrap_or(&[]);
+        let count = |ph: &str| {
+            events
+                .iter()
+                .filter(|e| e.get("ph").and_then(Json::as_str) == Some(ph))
+                .count() as u64
+        };
+        (count("b"), count("e"))
+    }
 }
 
 /// Profile `netlist`'s steady state on the scalar skeleton engine.
@@ -207,8 +225,7 @@ mod tests {
     fn trace_json_has_a_span_per_delivered_token() {
         let f = generate::fig1();
         let run = profile_netlist(&f.netlist, ProfileOptions::default()).unwrap();
-        let begins = run.trace_json.matches("\"ph\":\"b\"").count() as u64;
-        let ends = run.trace_json.matches("\"ph\":\"e\"").count() as u64;
+        let (begins, ends) = run.token_spans();
         assert_eq!(begins, ends);
         assert!(begins >= run.report.consumed);
     }

@@ -41,8 +41,8 @@ fn probed_shard(prog: &Arc<SettleProgram>, seed: u64, shard: usize) -> (MetricsR
     }
     let mut report = Report::new(format!("shard{shard}"));
     report
-        .push_int("cycles", metrics.cycles())
-        .push_int("fires", metrics.total_fires());
+        .push("cycles", metrics.cycles())
+        .push("fires", metrics.total_fires());
     (metrics, report)
 }
 
@@ -59,8 +59,8 @@ fn sweep_with_workers(workers: usize, netlist: &Netlist, seed: u64) -> (String, 
         merged.merge(metrics);
         master.absorb(report);
     }
-    master.push_int("merged_fires", merged.total_fires());
-    (merged.to_json(), master.to_json())
+    master.push("merged_fires", merged.total_fires());
+    (merged.to_json().to_compact(), master.to_json())
 }
 
 #[test]
